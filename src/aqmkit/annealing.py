@@ -2,9 +2,16 @@
 
 The interpolating Hamiltonian is H(t) = lam0(t) * H0 + lam1(t) * H1 with the
 mixer H0 = -sum_i X_i (whose ground state is the uniform superposition) and
-H1 the diagonal Ising cost. Evolution is first-order product stepping with a
-dense matrix exponential of the instantaneous Hamiltonian at each step
-midpoint; accuracy is controlled by num_steps.
+H1 the diagonal Ising cost. `anneal` never forms H: each step is the
+symmetric (Strang) product at the step midpoint,
+
+    exp(-i lam1 H1 dt/2) . prod_i exp(i lam0 dt X_i) . exp(-i lam1 H1 dt/2),
+
+whose factors are a diagonal phase and n commuting single-qubit rotations,
+so a step costs O(n 2**n) and is second-order accurate in dt (Strang 1968;
+Suzuki 1991). The energy trace is likewise taken from the cost diagonal and
+the per-qubit <X_i>. `build_annealing_hamiltonian` and `_step_unitary`
+remain as the dense form, and `evolve` exponentiates any dense H exactly.
 """
 
 from __future__ import annotations
@@ -16,10 +23,29 @@ from typing import Callable
 import numpy as np
 
 from . import gates
-from .simulate import embed_gate, expectation
+from .simulate import embed_gate
 from .state import StateVector, plus_state
 
 MAX_SPINS = 12
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; booleans, strings and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range") from None
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; an integral float such as 3.0 is accepted, 2.7 and true are not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -51,11 +77,24 @@ class IsingProblem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IsingProblem":
+        """Parse {"n": int, "h": [number], "J": [[i, j, number]]}; bad input is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("problem must be a JSON object")
         unknown = set(data) - {"n", "h", "J"}
         if unknown:
             raise ValueError(f"unknown field(s) {sorted(unknown)}")
-        couplings = tuple((int(i), int(j), float(v)) for i, j, v in data.get("J", []))
-        return cls(int(data["n"]), tuple(float(h) for h in data.get("h", [])), couplings)
+        if "n" not in data:
+            raise ValueError("missing field 'n'")
+        fields = data.get("h", [])
+        couplings = data.get("J", [])
+        if not isinstance(fields, list):
+            raise ValueError("'h' must be a list of numbers")
+        if not (isinstance(couplings, list)
+                and all(isinstance(c, list) and len(c) == 3 for c in couplings)):
+            raise ValueError("'J' must be a list of [i, j, strength] triples")
+        return cls(_integer(data["n"], "'n'"), tuple(_number(h, "'h'") for h in fields),
+                   tuple((_integer(i, "'J' site"), _integer(j, "'J' site"),
+                          _number(v, "'J' strength")) for i, j, v in couplings))
 
     @classmethod
     def from_json(cls, text: str) -> "IsingProblem":
@@ -130,11 +169,43 @@ class AnnealResult:
     times: np.ndarray
     energies: np.ndarray
     success_probability: float
+    # Largest |norm - 1| of the state after a step, before it is renormalised.
+    max_norm_drift: float = 0.0
 
 
 def _step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
     eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian)
     return (eigenvectors * np.exp(-1j * eigenvalues * dt)) @ eigenvectors.conj().T
+
+
+def _flip(tensor: np.ndarray, axis: int) -> np.ndarray:
+    """X on one qubit of the (2,)*n view of a state: np.flip as a plain slice view."""
+    return tensor[(slice(None),) * axis + (slice(None, None, -1),)]
+
+
+def _apply_mixer(tensor: np.ndarray, angle: float) -> np.ndarray:
+    """prod_i exp(i angle X_i) on the (2,)*n view of a state: one pass per qubit."""
+    cos, isin = np.cos(angle), 1j * np.sin(angle)
+    for axis in range(tensor.ndim):
+        tensor = cos * tensor + isin * _flip(tensor, axis)
+    return tensor
+
+
+def _energy(tensor: np.ndarray, diagonal: np.ndarray, lam0: float, lam1: float) -> float:
+    """<psi| lam0 H0 + lam1 H1 |psi> with H0 = -sum_i X_i, without forming H."""
+    mixer = sum(np.vdot(tensor, _flip(tensor, axis)).real for axis in range(tensor.ndim))
+    cost = np.dot(np.abs(tensor.reshape(-1)) ** 2, diagonal)
+    return float(-lam0 * mixer + lam1 * cost)
+
+
+def _schedule_values(schedule: AnnealSchedule, t: float) -> tuple[float, float]:
+    """(lam0, lam1) at time t; the quench (t_final = 0) stays on the mixer."""
+    if schedule.t_final == 0:
+        return 1.0, 0.0
+    lam0, lam1 = schedule.lambda0(t), schedule.lambda1(t)
+    if not (np.isfinite(lam0) and np.isfinite(lam1)):
+        raise ValueError("schedule values must be finite")
+    return lam0, lam1
 
 
 def anneal(problem: IsingProblem, schedule: AnnealSchedule) -> AnnealResult:
@@ -143,27 +214,27 @@ def anneal(problem: IsingProblem, schedule: AnnealSchedule) -> AnnealResult:
     The energy trace records <H(t)> at t = 0 and after every step; its final
     entry is the expectation of H(t_final) in the returned state.
     """
-    state = plus_state(problem.num_spins)
+    n = problem.num_spins
+    diagonal = problem.cost_diagonal()
+    tensor = np.array(plus_state(n).amplitudes).reshape((2,) * n)
     times = [0.0]
-    energies = [expectation(state, build_annealing_hamiltonian(
-        problem, schedule.lambda0(0.0) if schedule.t_final > 0 else 1.0,
-        schedule.lambda1(0.0) if schedule.t_final > 0 else 0.0))]
+    energies = [_energy(tensor, diagonal, *_schedule_values(schedule, 0.0))]
+    max_norm_drift = 0.0
     if schedule.t_final > 0:
         dt = schedule.t_final / schedule.num_steps
-        amps = np.array(state.amplitudes)
         for k in range(schedule.num_steps):
-            midpoint = (k + 0.5) * dt
-            h_mid = build_annealing_hamiltonian(
-                problem, schedule.lambda0(midpoint), schedule.lambda1(midpoint))
-            amps = _step_unitary(h_mid, dt) @ amps
-            amps = amps / np.linalg.norm(amps)
+            lam0, lam1 = _schedule_values(schedule, (k + 0.5) * dt)
+            half_cost = np.exp(-0.5j * lam1 * dt * diagonal).reshape(tensor.shape)
+            tensor = half_cost * _apply_mixer(half_cost * tensor, lam0 * dt)
+            norm = np.linalg.norm(tensor)
+            max_norm_drift = max(max_norm_drift, abs(norm - 1.0))
+            tensor = tensor / norm
             t_next = (k + 1) * dt
-            state = StateVector(amps)
             times.append(t_next)
-            energies.append(expectation(state, build_annealing_hamiltonian(
-                problem, schedule.lambda0(t_next), schedule.lambda1(t_next))))
+            energies.append(_energy(tensor, diagonal, *_schedule_values(schedule, t_next)))
+    state = StateVector(tensor.reshape(-1))
     return AnnealResult(state, np.array(times), np.array(energies),
-                        anneal_success(state, problem))
+                        anneal_success(state, problem), max_norm_drift)
 
 
 def anneal_success(state: StateVector, problem: IsingProblem) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 import aqmkit as aq
 from aqmkit import gates
-from aqmkit.annealing import _step_unitary, build_annealing_hamiltonian
+from aqmkit.annealing import MAX_SPINS, _energy, _step_unitary, build_annealing_hamiltonian
 from aqmkit.graphs import ConnectivityGraph
 from aqmkit.simulate import embed_gate
 from oracles import kron_embed, random_state
@@ -110,6 +110,48 @@ class TestAnneal:
         problem = aq.IsingProblem(3, (0.2, -0.1, 0.4), ((0, 2, 1.0),))
         result = aq.anneal(problem, aq.AnnealSchedule(10.0, 500))
         assert abs(np.linalg.norm(result.final_state.amplitudes) - 1) < 1e-8
+
+    def test_matrix_free_energy_matches_dense_expectation(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 6):
+            problem = aq.IsingProblem(
+                n, tuple(rng.normal(size=n)),
+                tuple((i, j, float(rng.normal())) for i in range(n) for j in range(i + 1, n)))
+            diagonal = problem.cost_diagonal()
+            for lam0, lam1 in ((1.0, 0.0), (0.0, 1.0), (0.3, 0.7), (-1.2, 2.5)):
+                psi = aq.StateVector(random_state(rng, n))
+                dense = aq.expectation(psi, build_annealing_hamiltonian(problem, lam0, lam1))
+                matrix_free = _energy(psi.amplitudes.reshape((2,) * n), diagonal, lam0, lam1)
+                assert abs(matrix_free - dense) < 1e-12
+
+    def test_max_spins_ring_matches_ode_oracle(self):
+        """A 12-spin ring against scipy's DOP853 with the Hamiltonian applied matrix-free."""
+        pytest.importorskip("scipy")
+        from scipy.integrate import solve_ivp
+
+        n, t_final = MAX_SPINS, 1.0
+        rng = np.random.default_rng(12)
+        problem = aq.IsingProblem(n, tuple(rng.normal(size=n)),
+                                  tuple((i, (i + 1) % n, float(rng.normal())) for i in range(n)))
+        diagonal = problem.cost_diagonal()
+        flips = [np.arange(2 ** n) ^ (1 << i) for i in range(n)]
+
+        def rhs(t, psi):
+            mixer = -sum(psi[flip] for flip in flips)
+            return -1j * ((1 - t / t_final) * mixer + t / t_final * diagonal * psi)
+
+        solution = solve_ivp(rhs, (0.0, t_final), np.full(2 ** n, 2 ** (-n / 2), dtype=complex),
+                             method="DOP853", rtol=1e-12, atol=1e-12)
+        reference = solution.y[:, -1]
+        result = aq.anneal(problem, aq.AnnealSchedule(t_final, 200))
+        assert 1 - aq.fidelity(result.final_state, aq.StateVector(
+            reference / np.linalg.norm(reference))) <= 1e-8
+
+    def test_norm_drift_is_reported(self):
+        problem = aq.IsingProblem(8, (0.3,) * 8, tuple((i, (i + 1) % 8, -1.0) for i in range(8)))
+        result = aq.anneal(problem, aq.AnnealSchedule(10.0, 5000))
+        assert 0.0 <= result.max_norm_drift < 1e-10
+        assert aq.anneal(problem, aq.AnnealSchedule(0.0, 1)).max_norm_drift == 0.0
 
     def test_schedule_endpoint_validation(self):
         with pytest.raises(ValueError, match="endpoints"):

@@ -242,6 +242,20 @@ class TestOtherCommands:
         code, _, _ = run_cli("anneal", "--problem", problem_path, "--steps", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("body", [
+        "5",
+        '{"n": 1, "h": null}',
+        '{"n": 1, "h": [-1.0], "J": 5}',
+        '{"n": 2.7, "h": [1.0, 1.0]}',
+        '{"n": true, "h": [1.0]}',
+    ], ids=["top-level-number", "null-fields", "number-couplings", "fractional-n", "boolean-n"])
+    def test_anneal_malformed_problem_is_usage_error(self, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        code, out, err = run_cli("anneal", "--problem", str(path))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: cannot load problem")
+
     def test_profiles_list(self):
         code, out, _ = run_cli("profiles", "list")
         assert code == 0
