@@ -36,7 +36,7 @@ from .profiles import (DeviceProfile, GateSpec, Level, MeasurementSpec, ProfileE
 from .rewrite import RewriteError, rewrite_to_basis
 from .route import route_circuit
 from .simulate import (MeasurementRecord, apply_circuit, circuit_unitary, embed_gate,
-                       expectation)
+                       expectation, sample_counts)
 from .state import StateVector, basis_state, fidelity, plus_state, tensor_product
 from .walk import WalkSpec, classical_walk_run, walk_run, walk_variance_exponent
 

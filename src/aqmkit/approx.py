@@ -20,6 +20,14 @@ _ALLOWED = frozenset(name for name, arity in GATE_ARITY.items()
                      if arity == 1 and name in FIXED_GATES)
 
 
+def check_approximation_bounds(epsilon: float, max_depth: int) -> None:
+    """Raise ValueError unless 0 < epsilon < 1 and max_depth >= 0."""
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+
+
 @dataclass(frozen=True)
 class ApproximationRequest:
     target: np.ndarray
@@ -41,10 +49,7 @@ class ApproximationRequest:
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet contains duplicates")
         object.__setattr__(self, "gate_alphabet", alphabet)
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+        check_approximation_bounds(self.epsilon, self.max_depth)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ default seed of 0, and an explicit --seed flag wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import gates
 from .annealing import AnnealSchedule, IsingProblem, anneal
+from .approx import check_approximation_bounds
 from .circuit import CircuitError, format_circuit, parse_circuit
 from .demand import BUILTIN_DEMAND_NAMES, builtin_demand
 from .devices import BUILTIN_PROFILE_NAMES, builtin_profile
@@ -27,12 +29,14 @@ from .matcher import UNSUPPORTED, match_profiles, render_report, report_to_dict
 from .mbqc import euler_rotation_pattern, mbqc_execute, parse_pattern
 from .pipeline import CompensationError, compile_for_device
 from .profiles import DeviceProfile, ProfileError, parse_device_profile, serialize_device_profile
-from .simulate import apply_circuit
+from .simulate import MAX_SIM_QUBITS, sample_counts
 from .walk import WalkSpec, walk_run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RULE_FAILURE = 2
+
+MAX_SHOTS = 2 ** 63 - 1  # numpy's multinomial draws an int64 count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,28 +78,30 @@ def _load_profile(spec: str) -> DeviceProfile:
         return builtin_profile(spec)
     path = Path(spec)
     if path.exists():
-        return parse_device_profile(path.read_text())
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ProfileError(f"cannot read {spec}: {exc}") from None
+        return parse_device_profile(text)
     raise ProfileError(
         f"{spec!r} is neither a builtin profile ({', '.join(BUILTIN_PROFILE_NAMES)}) "
         "nor a readable file")
 
 
 def cmd_simulate(args) -> int:
-    if args.shots < 1:
-        return _fail("--shots must be >= 1", EXIT_USAGE)
+    if not 1 <= args.shots <= MAX_SHOTS:
+        return _fail(f"--shots must lie in [1, {MAX_SHOTS}]", EXIT_USAGE)
     try:
         circuit = _load_circuit(args.circuit)
     except CircuitError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    if circuit.num_qubits > MAX_SIM_QUBITS:
+        return _fail(f"circuit has {circuit.num_qubits} qubits; simulate supports at most "
+                     f"{MAX_SIM_QUBITS}", EXIT_USAGE)
     if not any(inst.gate == "MEASURE" for inst in circuit.instructions):
         return _fail("circuit has no MEASURE instructions; nothing to sample", EXIT_USAGE)
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    counts: dict[str, int] = {}
-    for _ in range(args.shots):
-        _, records = apply_circuit(circuit, rng=rng)
-        bits = "".join(str(r.outcome_index) for r in records)
-        counts[bits] = counts.get(bits, 0) + 1
-    ordered = dict(sorted(counts.items()))
+    ordered = dict(sorted(sample_counts(circuit, args.shots, rng).items()))
     if args.json:
         print(json.dumps({"shots": args.shots, "seed": args.seed, "counts": ordered}))
     else:
@@ -105,6 +111,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transpile(args) -> int:
+    try:
+        check_approximation_bounds(args.epsilon, args.max_depth)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     try:
         circuit = _load_circuit(args.circuit)
     except CircuitError as exc:
@@ -308,16 +318,17 @@ def cmd_profiles(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The `aqm` parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="aqm", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    seed_default = _default_seed()
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("simulate", help="run a circuit and histogram measured bitstrings")
     p.add_argument("circuit", help="circuit file in the text format")
     p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=int, help="default: AQM_SEED, else 0")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
@@ -365,7 +376,7 @@ def build_parser() -> _Parser:
     group.add_argument("--pattern", help="pattern JSON file")
     group.add_argument("--euler", type=float, nargs=3, metavar=("T1", "T2", "T3"),
                        help="builtin five-qubit rotation pattern")
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=int, help="default: AQM_SEED, else 0")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mbqc)
 
@@ -378,11 +389,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # AQM_SEED is read on every call, since it may change between in-process
+    # calls, and before parsing, so its warning comes before any usage error.
+    seed_default = _default_seed()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if hasattr(args, "seed") and args.seed is None:
+        args.seed = seed_default
     if args.command == "profiles" and args.action == "show" and not args.name:
         return _fail("profiles show requires a profile name", EXIT_USAGE)
     try:

@@ -5,7 +5,9 @@ Gates are applied by tensor contraction on the reshaped amplitude array;
 matrix is wanted (oracles, routing checks). MEASURE samples a computational
 basis outcome for one qubit with the seeded generator and collapses the
 state; RESET performs initialization-by-measurement to |0> (a measurement
-whose every branch leaves the qubit in |0>).
+whose every branch leaves the qubit in |0>). ``sample_counts`` histograms
+many shots, drawing them all from one simulation when the MEASUREs are
+terminal.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .linalg import is_unitary
 from .state import StateVector, basis_state
 
 ZERO_PROB = 1e-14
+
+# Widest register `aqm simulate` accepts: 2**24 complex128 amplitudes are 256 MiB.
+MAX_SIM_QUBITS = 24
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,46 @@ def apply_circuit(circuit: Circuit, initial: StateVector | None = None, seed: in
             matrix = gates.gate_matrix(inst.gate, inst.angle)
             amps = apply_gate(amps, matrix, inst.qubits, n)
     return StateVector(amps), records
+
+
+def sample_counts(circuit: Circuit, shots: int,
+                  rng: np.random.Generator) -> dict[str, int]:
+    """Histogram of MEASURE record strings (bits in MEASURE order) over `shots` runs.
+
+    When the MEASUREs form a terminal suffix (no gate or RESET after the
+    first MEASURE), the gate prefix is simulated once and every shot is drawn
+    from one multinomial over the measured qubits' marginal: O(2^n) work
+    whatever `shots` is. Otherwise the whole circuit is re-run per shot.
+    """
+    instructions = circuit.instructions
+    first = next((i for i, inst in enumerate(instructions) if inst.gate == "MEASURE"),
+                 len(instructions))
+    suffix = instructions[first:]
+    if any(inst.gate != "MEASURE" for inst in suffix):
+        counts: dict[str, int] = {}
+        for _ in range(shots):
+            _, records = apply_circuit(circuit, rng=rng)
+            bits = "".join(str(r.outcome_index) for r in records)
+            counts[bits] = counts.get(bits, 0) + 1
+        return counts
+
+    n = circuit.num_qubits
+    state, _ = apply_circuit(Circuit(n, instructions[:first]))
+    measured = sorted({inst.qubits[0] for inst in suffix})
+    # Axis a of the (2,)*n view holds qubit n-1-a; bring the measured qubits
+    # to the front in `measured` order and sum out the rest.
+    front = [n - 1 - q for q in measured]
+    rest = [a for a in range(n) if a not in front]
+    probs = state.probabilities().reshape((2,) * n).transpose(front + rest)
+    marginal = probs.reshape(2 ** len(measured), -1).sum(axis=1)
+    cells = np.flatnonzero(marginal >= ZERO_PROB)
+    p = marginal[cells]
+    drawn = rng.multinomial(shots, p / p.sum())
+    # Cell index bit len(measured)-1-j holds the outcome of measured[j].
+    shift = {q: len(measured) - 1 - j for j, q in enumerate(measured)}
+    order = [shift[inst.qubits[0]] for inst in suffix]
+    return {"".join(str((int(cell) >> s) & 1) for s in order): int(count)
+            for cell, count in zip(cells, drawn) if count}
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

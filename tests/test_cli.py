@@ -2,13 +2,16 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from aqmkit.cli import main
+from aqmkit import simulate
+from aqmkit.cli import MAX_SHOTS, main
 
 BELL = "qubits 2\nH 0\nCNOT 0 1\nMEASURE 0\nMEASURE 1\n"
+GHZ = "qubits 3\nH 0\nCNOT 0 1\nCNOT 1 2\nMEASURE 0\nMEASURE 1\nMEASURE 2\n"
 
 
 def run_cli(*argv):
@@ -16,6 +19,11 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 @pytest.fixture()
@@ -100,6 +108,60 @@ class TestSimulate:
         monkeypatch.delenv("AQM_SEED")
         explicit = run_cli("simulate", bell_path, "--shots", "100", "--seed", "7")
         assert env_run == explicit
+
+    def test_aqm_seed_read_on_every_call(self, bell_path, monkeypatch):
+        def seed_and_err():
+            code, out, err = run_cli("simulate", bell_path, "--shots", "10", "--json")
+            assert code == 0
+            return json.loads(out)["seed"], err
+
+        monkeypatch.setenv("AQM_SEED", "3")
+        assert seed_and_err() == (3, "")
+        monkeypatch.setenv("AQM_SEED", "5")
+        assert seed_and_err() == (5, "")
+        monkeypatch.setenv("AQM_SEED", "five")
+        warning = "warning: ignoring non-integer AQM_SEED='five'\n"
+        assert seed_and_err() == (0, warning)
+        assert seed_and_err() == (0, warning)
+        code, out, err = run_cli("mbqc", "--euler", "0.1", "0.2", "0.3", "--json")
+        assert code == 0 and err == warning
+        monkeypatch.setenv("AQM_SEED", "9")
+        code, out, err = run_cli("simulate", bell_path, "--shots", "10", "--seed", "4", "--json")
+        assert json.loads(out)["seed"] == 4 and err == ""
+
+    def test_ghz_100k_shots_in_process_under_100ms(self, tmp_path):
+        path = tmp_path / "ghz.txt"
+        path.write_text(GHZ)
+        run_cli("simulate", str(path), "--shots", "10")  # warm-up: a first call builds the parser
+        start = time.perf_counter()
+        code, out, _ = run_cli("simulate", str(path), "--shots", "100000", "--json")
+        elapsed = time.perf_counter() - start
+        counts = json.loads(out)["counts"]
+        assert code == 0 and set(counts) == {"000", "111"}
+        assert sum(counts.values()) == 100000
+        assert elapsed < 0.1
+
+    def test_trillion_shots_sum_exactly(self, tmp_path):
+        path = tmp_path / "ghz.txt"
+        path.write_text(GHZ)
+        code, out, _ = run_cli("simulate", str(path), "--shots", str(10 ** 12), "--json")
+        assert code == 0
+        assert sum(json.loads(out)["counts"].values()) == 10 ** 12
+
+    def test_shots_beyond_int64_is_usage_error(self, bell_path):
+        assert_one_error_line(*run_cli("simulate", bell_path, "--shots", str(MAX_SHOTS + 1)))
+
+    def test_width_cap_rejects_before_simulating(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a capped circuit must not reach the simulator")
+
+        monkeypatch.setattr(simulate, "apply_circuit", refuse)
+        for width in (simulate.MAX_SIM_QUBITS + 1, 40):
+            path = tmp_path / f"wide{width}.txt"
+            path.write_text(f"qubits {width}\nH 0\nMEASURE 0\n")
+            code, out, err = run_cli("simulate", str(path))
+            assert_one_error_line(code, out, err)
+            assert f"at most {simulate.MAX_SIM_QUBITS}" in err
 
     def test_hadamard_frequency(self, tmp_path):
         path = tmp_path / "h.txt"
@@ -187,6 +249,24 @@ class TestTranspile:
         code, _, err = run_cli("transpile", str(swap), "--profile", "trapped-ion",
                                "--skip-rewrite", "--skip-expand")
         assert code == 2 and "operations" in err
+
+    def test_profile_directory_is_usage_error(self, tmp_path):
+        circuit = tmp_path / "c.txt"
+        circuit.write_text("qubits 1\nH 0\n")
+        assert_one_error_line(*run_cli("transpile", str(circuit), "--profile", str(tmp_path)))
+
+    @pytest.mark.parametrize("flags", [
+        ("--epsilon", "2"), ("--epsilon", "1"), ("--epsilon", "0"), ("--epsilon", "-0.5"),
+        ("--epsilon", "nan"), ("--max-depth", "-1"),
+    ], ids=["epsilon-2", "epsilon-1", "epsilon-0", "epsilon-negative", "epsilon-nan",
+            "max-depth-negative"])
+    def test_approximation_bounds_checked_up_front(self, tmp_path, flags):
+        # Nothing here needs approximating, so only the up-front check can fail.
+        circuit = tmp_path / "c.txt"
+        circuit.write_text("qubits 1\nH 0\n")
+        code, out, err = run_cli("transpile", str(circuit), "--profile",
+                                 "superconducting-transmon", *flags)
+        assert_one_error_line(code, out, err)
 
     def test_shots_must_be_positive(self, bell_path):
         code, _, _ = run_cli("simulate", bell_path, "--shots", "0")
