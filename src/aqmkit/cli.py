@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ from . import gates
 from .annealing import AnnealSchedule, IsingProblem, anneal
 from .approx import check_approximation_bounds
 from .circuit import CircuitError, format_circuit, parse_circuit
+from .cost import cost_to_dict
 from .demand import BUILTIN_DEMAND_NAMES, builtin_demand
 from .devices import BUILTIN_PROFILE_NAMES, builtin_profile
 from .matcher import UNSUPPORTED, match_profiles, render_report, report_to_dict
@@ -30,7 +30,7 @@ from .mbqc import euler_rotation_pattern, mbqc_execute, parse_pattern
 from .pipeline import CompensationError, compile_for_device
 from .profiles import DeviceProfile, ProfileError, parse_device_profile, serialize_device_profile
 from .simulate import MAX_SIM_QUBITS, sample_counts
-from .walk import WalkSpec, walk_run
+from .walk import MAX_WALK_STEPS, WalkSpec, walk_final
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,12 +148,7 @@ def cmd_transpile(args) -> int:
     if args.json:
         payload = {
             "circuit": text,
-            "cost": {
-                "gate_count_by_name": dict(sorted(result.cost.gate_counts.items())),
-                "total_duration_ns": result.cost.total_duration_ns,
-                "fidelity_estimate": result.cost.fidelity_estimate,
-                "added_ancillas": result.cost.added_ancillas,
-            },
+            "cost": cost_to_dict(result.cost),
             "budget": {"ok": result.budget.ok, "ratio": result.budget.ratio},
             "passes": [{"name": entry.name, "before": entry.instructions_before,
                         "after": entry.instructions_after}
@@ -170,22 +165,13 @@ def cmd_transpile(args) -> int:
     return EXIT_OK
 
 
-def _match_pair(device: DeviceProfile, demand_name: str, allow_qec: bool):
-    return match_profiles(device, builtin_demand(demand_name), allow_qec)
-
-
 def cmd_match(args) -> int:
+    if args.jobs < 1:
+        return _fail("--jobs must be >= 1", EXIT_USAGE)
     if args.matrix:
         devices = [builtin_profile(name) for name in BUILTIN_PROFILE_NAMES]
-        pairs = [(device, demand) for demand in BUILTIN_DEMAND_NAMES for device in devices]
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(
-                    lambda pair: _match_pair(pair[0], pair[1], args.allow_qec_coherence),
-                    pairs))
-        else:
-            reports = [_match_pair(device, demand, args.allow_qec_coherence)
-                       for device, demand in pairs]
+        reports = [match_profiles(device, builtin_demand(demand), args.allow_qec_coherence)
+                   for demand in BUILTIN_DEMAND_NAMES for device in devices]
         if args.json:
             print(json.dumps([report_to_dict(report) for report in reports], indent=2))
         else:
@@ -246,10 +232,13 @@ _COINS = {"hadamard": gates.H, "identity": gates.I2, "balanced": gates.H}
 
 
 def cmd_walk(args) -> int:
+    if args.steps > MAX_WALK_STEPS:
+        return _fail(f"--steps {args.steps} exceeds the maximum of {MAX_WALK_STEPS}",
+                     EXIT_USAGE)
     coin = _COINS[args.coin]
     start = np.array([1.0, 0.0] if args.coin_state == 0 else [0.0, 1.0], dtype=complex)
     spec = WalkSpec(args.steps, max(args.steps, 1), coin, start)
-    distribution = walk_run(spec)[-1]
+    distribution = walk_final(spec)
     ordered = dict(sorted(distribution.items()))
     if args.json:
         print(json.dumps({"steps": args.steps,
@@ -350,7 +339,8 @@ def build_parser() -> _Parser:
     p.add_argument("--demand", choices=BUILTIN_DEMAND_NAMES)
     p.add_argument("--matrix", action="store_true",
                    help="full builtin demands x devices verdict matrix")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; the matrix is computed serially")
     p.add_argument("--allow-qec-coherence", action="store_true",
                    help="treat the QEC capability flag as coherence compensation")
     p.add_argument("--json", action="store_true")

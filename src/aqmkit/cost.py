@@ -64,10 +64,25 @@ def estimate_cost(circuit: Circuit, profile: DeviceProfile,
         added_ancillas=added_ancillas)
 
 
-def check_coherence_budget(circuit: Circuit, profile: DeviceProfile,
-                           threshold: float = 0.01) -> BudgetCheck:
-    """Pass iff total serial duration <= threshold * T2 (decoupled T2 if known)."""
-    cost = estimate_cost(circuit, profile)
+def budget_from_cost(cost: CostRecord, profile: DeviceProfile,
+                     threshold: float = 0.01) -> BudgetCheck:
+    """The coherence budget check for a circuit whose cost is already known."""
     t2_us = profile.effective_t2_us()
     ratio = cost.total_duration_ns / (t2_us * 1000.0)
     return BudgetCheck(ratio <= threshold, ratio, cost.total_duration_ns, t2_us, threshold)
+
+
+def check_coherence_budget(circuit: Circuit, profile: DeviceProfile,
+                           threshold: float = 0.01) -> BudgetCheck:
+    """Pass iff total serial duration <= threshold * T2 (decoupled T2 if known)."""
+    return budget_from_cost(estimate_cost(circuit, profile), profile, threshold)
+
+
+def cost_to_dict(cost: CostRecord) -> dict:
+    """The JSON form of a cost record, as `aqm transpile --json` writes it."""
+    return {
+        "gate_count_by_name": dict(sorted(cost.gate_counts.items())),
+        "total_duration_ns": cost.total_duration_ns,
+        "fidelity_estimate": cost.fidelity_estimate,
+        "added_ancillas": cost.added_ancillas,
+    }

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .cost import CostRecord
 from .demand import DemandProfile
 from .pipeline import CompensationError, CompilationResult, compile_for_device
 from .profiles import RULES, DeviceProfile, Level
@@ -153,15 +152,6 @@ def plan_compensation(device: DeviceProfile, circuit: Circuit, epsilon: float = 
 
 
 # --- report rendering -------------------------------------------------------
-
-def _cost_to_dict(cost: CostRecord) -> dict:
-    return {
-        "gate_count_by_name": dict(sorted(cost.gate_counts.items())),
-        "total_duration_ns": cost.total_duration_ns,
-        "fidelity_estimate": cost.fidelity_estimate,
-        "added_ancillas": cost.added_ancillas,
-    }
-
 
 def report_to_dict(report: MatchReport) -> dict:
     rules = []

@@ -18,8 +18,12 @@ import numpy as np
 
 from . import gates
 from .graphs import ConnectivityGraph
-from .simulate import apply_gate
+from .simulate import MAX_SIM_QUBITS, apply_gate
 from .state import StateVector
+
+# Most nodes `parse_pattern` accepts. The register holds 2**nodes amplitudes,
+# so this is the width `aqm simulate` accepts (256 MiB of complex128).
+MAX_PATTERN_NODES = MAX_SIM_QUBITS
 
 
 @dataclass(frozen=True)
@@ -238,7 +242,7 @@ def _parse_adaptivity(expr: str | None) -> tuple[int, ...]:
 
 
 def parse_pattern(text: str) -> MeasurementPattern:
-    """Load a pattern from its JSON file format."""
+    """Load a pattern from its JSON file format (at most MAX_PATTERN_NODES nodes)."""
     data = json.loads(text)
     required = {"nodes", "edges", "order", "angles", "outputs"}
     allowed = required | {"inputs", "adaptivity", "byproducts"}
@@ -248,7 +252,10 @@ def parse_pattern(text: str) -> MeasurementPattern:
     missing = required - set(data)
     if missing:
         raise ValueError(f"missing field(s) {sorted(missing)}")
-    graph = ConnectivityGraph.from_edges(int(data["nodes"]), data["edges"])
+    nodes = int(data["nodes"])
+    if nodes > MAX_PATTERN_NODES:
+        raise ValueError(f"pattern has {nodes} nodes; at most {MAX_PATTERN_NODES} are supported")
+    graph = ConnectivityGraph.from_edges(nodes, data["edges"])
     order = [int(q) for q in data["order"]]
     angles = [float(a) for a in data["angles"]]
     if len(order) != len(angles):

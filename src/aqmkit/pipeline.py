@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .approx import ApproximationRequest, approximate_single_qubit
 from .circuit import Circuit, Instruction
-from .cost import BudgetCheck, CostRecord, check_coherence_budget, estimate_cost
+from .cost import BudgetCheck, CostRecord, budget_from_cost, estimate_cost
 from .gates import ROTATION_GATES, SINGLE_QUBIT_GATES
 from .graphs import DisconnectedError
 from .profiles import DeviceProfile
@@ -140,5 +140,5 @@ def compile_for_device(circuit: Circuit, profile: DeviceProfile, epsilon: float 
         cost = estimate_cost(current, profile)
     except ValueError as exc:
         raise UnexpressibleError(str(exc)) from exc
-    budget = check_coherence_budget(current, profile, budget_threshold)
+    budget = budget_from_cost(cost, profile, budget_threshold)
     return CompilationResult(current, cost, budget, tuple(log))

@@ -1,8 +1,9 @@
 """Dense state-vector execution of circuits.
 
-Gates are applied by tensor contraction on the reshaped amplitude array;
-``embed_gate`` builds the explicit 2^n-dimensional operator when a dense
-matrix is wanted (oracles, routing checks). MEASURE samples a computational
+Gates are applied by tensor contraction on the reshaped amplitude array,
+which ``circuit_unitary`` also uses, treating the identity's columns as a
+batch; ``embed_gate`` builds the explicit 2^n-dimensional operator when a
+dense matrix is wanted (oracles, routing checks). MEASURE samples a computational
 basis outcome for one qubit with the seeded generator and collapses the
 state; RESET performs initialization-by-measurement to |0> (a measurement
 whose every branch leaves the qubit in |0>). ``sample_counts`` histograms
@@ -74,17 +75,25 @@ def embed_gate(gate: np.ndarray, targets, num_qubits: int) -> np.ndarray:
 
 
 def apply_gate(amps: np.ndarray, gate: np.ndarray, targets, num_qubits: int) -> np.ndarray:
-    """Apply a 2^k gate to the amplitude array without building the full matrix."""
+    """Apply a 2^k gate to the amplitude array without building the full matrix.
+
+    `amps` has shape (2^n,) or (2^n, *batch): trailing axes are a batch, so
+    one call applies the gate to every column of a (2^n, m) block.
+    """
     targets = list(targets)
     k = len(targets)
-    tensor = amps.reshape((2,) * num_qubits)
+    for t in targets:
+        # A negative axis would silently land on another qubit or a batch axis.
+        if not 0 <= t < num_qubits:
+            raise ValueError(f"target {t} out of range for {num_qubits} qubit(s)")
+    tensor = amps.reshape((2,) * num_qubits + amps.shape[1:])
     gate_t = np.asarray(gate, dtype=complex).reshape((2,) * (2 * k))
     in_axes = [2 * k - 1 - j for j in range(k)]
     state_axes = [num_qubits - 1 - t for t in targets]
     out = np.tensordot(gate_t, tensor, axes=(in_axes, state_axes))
     # tensordot put the gate's output axes first (gate qubit k-1 .. 0).
     out = np.moveaxis(out, [k - 1 - j for j in range(k)], state_axes)
-    return np.ascontiguousarray(out).reshape(-1)
+    return np.ascontiguousarray(out).reshape(amps.shape)
 
 
 def _measure_bit(amps: np.ndarray, qubit: int,
@@ -183,13 +192,21 @@ def sample_counts(circuit: Circuit, shots: int,
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a measurement-free circuit (embed_gate product)."""
-    full = np.eye(2 ** circuit.num_qubits, dtype=complex)
+    """Dense unitary of a measurement-free circuit.
+
+    Each gate is contracted into the identity by ``apply_gate``, whose
+    column axis is a batch: O(4^n) work per gate, no 2^n x 2^n operator
+    built or multiplied.
+    """
+    n = circuit.num_qubits
+    full = np.eye(2 ** n, dtype=complex)
     for inst in circuit.instructions:
         if inst.gate in gates.MARKERS:
             raise ValueError(f"{inst.gate} has no unitary representation")
         matrix = gates.gate_matrix(inst.gate, inst.angle)
-        full = embed_gate(matrix, inst.qubits, circuit.num_qubits) @ full
+        if not is_unitary(matrix):
+            raise ValueError("gate matrix is not unitary")
+        full = apply_gate(full, matrix, inst.qubits, n)
     return full
 
 

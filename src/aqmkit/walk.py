@@ -9,6 +9,7 @@ which reduces the evolution to a symmetric random walk on the probabilities.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,10 @@ from .gates import H
 from .linalg import is_unitary
 
 _PRUNE = 1e-15
+
+# Most steps `aqm walk` accepts. The line holds 2*steps + 1 sites, so a walk
+# costs O(steps^2): 8000 steps take about 1.5 s on a 2-vCPU VM.
+MAX_WALK_STEPS = 8000
 
 
 @dataclass(frozen=True)
@@ -49,21 +54,32 @@ def _distribution(amps: np.ndarray, half_width: int) -> dict[int, float]:
     return {x - half_width: float(p) for x, p in enumerate(probs) if p > _PRUNE}
 
 
-def walk_run(spec: WalkSpec) -> list[dict[int, float]]:
-    """Position distributions after 0..num_steps steps (coin traced out)."""
+def _walk_amplitudes(spec: WalkSpec) -> Iterator[np.ndarray]:
+    """The (coin, position) amplitude array after 0..num_steps steps, in turn."""
     width = spec.line_half_width
     length = 2 * width + 1
     amps = np.zeros((2, length), dtype=complex)
     amps[:, spec.initial_position + width] = spec.initial_coin
-    history = [_distribution(amps, width)]
+    yield amps
     for _ in range(spec.num_steps):
         amps = spec.coin_unitary @ amps
         shifted = np.zeros_like(amps)
         shifted[0, :-1] = amps[0, 1:]   # coin |0>: position decreases
         shifted[1, 1:] = amps[1, :-1]   # coin |1>: position increases
         amps = shifted
-        history.append(_distribution(amps, width))
-    return history
+        yield amps
+
+
+def walk_run(spec: WalkSpec) -> list[dict[int, float]]:
+    """Position distributions after 0..num_steps steps (coin traced out)."""
+    return [_distribution(amps, spec.line_half_width) for amps in _walk_amplitudes(spec)]
+
+
+def walk_final(spec: WalkSpec) -> dict[int, float]:
+    """``walk_run(spec)[-1]`` without keeping the earlier distributions."""
+    for amps in _walk_amplitudes(spec):
+        pass
+    return _distribution(amps, spec.line_half_width)
 
 
 def classical_walk_run(spec: WalkSpec) -> list[dict[int, float]]:

@@ -7,8 +7,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from aqmkit import simulate
+from aqmkit import cli, simulate
 from aqmkit.cli import MAX_SHOTS, main
+from aqmkit.mbqc import MAX_PATTERN_NODES, parse_pattern
+from aqmkit.walk import MAX_WALK_STEPS, WalkSpec, walk_run
 
 BELL = "qubits 2\nH 0\nCNOT 0 1\nMEASURE 0\nMEASURE 1\n"
 GHZ = "qubits 3\nH 0\nCNOT 0 1\nCNOT 1 2\nMEASURE 0\nMEASURE 1\nMEASURE 2\n"
@@ -172,6 +174,49 @@ class TestSimulate:
         assert abs(counts["1"] / 100000 - 0.5) < 0.006  # 3 sigma binomial bound
 
 
+TRANSMON_BELL_JSON = """\
+{
+  "circuit": "qubits 5\\nH 0\\nH 1\\nCZ 0 1\\nH 1\\nMEASURE 1\\n",
+  "cost": {
+    "gate_count_by_name": {
+      "CZ": 1,
+      "H": 3,
+      "MEASURE": 1
+    },
+    "total_duration_ns": 200.0,
+    "fidelity_estimate": 0.9928010180386327,
+    "added_ancillas": 0
+  },
+  "budget": {
+    "ok": true,
+    "ratio": 0.0003590664272890485
+  },
+  "passes": [
+    {
+      "name": "rewrite",
+      "before": 3,
+      "after": 5
+    },
+    {
+      "name": "approximate",
+      "before": 5,
+      "after": 5
+    },
+    {
+      "name": "route",
+      "before": 5,
+      "after": 5
+    },
+    {
+      "name": "expand-swaps",
+      "before": 5,
+      "after": 5
+    }
+  ]
+}
+"""
+
+
 class TestTranspile:
     def test_swap_to_three_cnots(self, tmp_path):
         circuit = tmp_path / "swap.txt"
@@ -250,6 +295,14 @@ class TestTranspile:
                                "--skip-rewrite", "--skip-expand")
         assert code == 2 and "operations" in err
 
+    def test_json_bytes_pinned(self, tmp_path):
+        circuit = tmp_path / "bell.txt"
+        circuit.write_text("qubits 2\nH 0\nCNOT 0 1\nMEASURE 1\n")
+        code, out, _ = run_cli("transpile", str(circuit), "--profile",
+                               "superconducting-transmon", "--json")
+        assert code == 0
+        assert out == TRANSMON_BELL_JSON
+
     def test_profile_directory_is_usage_error(self, tmp_path):
         circuit = tmp_path / "c.txt"
         circuit.write_text("qubits 1\nH 0\n")
@@ -274,6 +327,50 @@ class TestTranspile:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize("steps", [0, 1, 2, 50])
+    def test_walk_json_is_last_walk_run_distribution(self, steps):
+        code, out, _ = run_cli("walk", "--steps", str(steps), "--json")
+        assert code == 0
+        spec = WalkSpec(steps, max(steps, 1))
+        expected = {str(x): p for x, p in sorted(walk_run(spec)[-1].items())}
+        assert out == json.dumps({"steps": steps, "distribution": expected}) + "\n"
+
+    @pytest.mark.parametrize("steps", [MAX_WALK_STEPS + 1, 10 ** 8])
+    def test_walk_steps_cap_rejects_before_walking(self, monkeypatch, steps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked past the step cap")
+
+        monkeypatch.setattr(cli, "WalkSpec", refuse)
+        monkeypatch.setattr(cli, "walk_final", refuse)
+        code, out, err = run_cli("walk", "--steps", str(steps))
+        assert_one_error_line(code, out, err)
+        assert str(MAX_WALK_STEPS) in err
+
+    @staticmethod
+    def _line_pattern(nodes):
+        return json.dumps({
+            "nodes": nodes, "edges": [[q, q + 1] for q in range(nodes - 1)],
+            "order": list(range(nodes - 1)), "angles": [0.0] * (nodes - 1),
+            "outputs": [nodes - 1]})
+
+    def test_mbqc_node_cap_admits_the_limit(self):
+        # Parsing builds no register, so the largest admitted pattern is cheap here.
+        assert parse_pattern(self._line_pattern(MAX_PATTERN_NODES)).graph.num_qubits \
+            == MAX_PATTERN_NODES
+
+    def test_mbqc_node_cap_rejects_before_executing(self, tmp_path, monkeypatch):
+        # One node past the cap: were the cap missing, the pattern would still
+        # build cheaply and reach the patched executor instead of allocating.
+        def refuse(*args, **kwargs):
+            raise AssertionError("executed a pattern past the node cap")
+
+        monkeypatch.setattr(cli, "mbqc_execute", refuse)
+        pattern = tmp_path / "wide.json"
+        pattern.write_text(self._line_pattern(MAX_PATTERN_NODES + 1))
+        code, out, err = run_cli("mbqc", "--pattern", str(pattern))
+        assert_one_error_line(code, out, err)
+        assert "nodes" in err
+
     def test_walk_two_steps(self):
         code, out, _ = run_cli("walk", "--steps", "2", "--coin", "hadamard", "--json")
         assert code == 0
@@ -363,6 +460,10 @@ class TestOtherCommands:
         assert code == 0
         data = json.loads(out)
         assert data["overall"] == "supported_with_compensation"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_match_jobs_below_one_is_usage_error(self, jobs):
+        assert_one_error_line(*run_cli("match", "--matrix", "--jobs", jobs))
 
     def test_match_matrix_with_jobs(self):
         serial = run_cli("match", "--matrix")

@@ -5,7 +5,9 @@ import pytest
 
 import aqmkit as aq
 from aqmkit import gates
-from aqmkit.devices import builtin_profile
+from aqmkit import cost as cost_module
+from aqmkit import pipeline
+from aqmkit.devices import BUILTIN_PROFILE_NAMES, builtin_profile
 from aqmkit.graphs import ConnectivityGraph
 from oracles import (connected_graphs, haar_unitary, oracle_circuit_unitary, random_circuit,
                      random_measurement_set, random_state)
@@ -353,3 +355,35 @@ class TestCost:
         assert cost.total_duration_ns == 2 * transmon.measurement.duration_ns
         assert cost.gate_fidelity_product == pytest.approx(
             transmon.measurement.fidelity ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("name", BUILTIN_PROFILE_NAMES)
+    @pytest.mark.parametrize("threshold", [1e-4, 0.01])
+    def test_compile_budget_matches_check_coherence_budget(self, name, threshold):
+        profile = builtin_profile(name)
+        compiled = 0
+        for text in ("qubits 1\nMEASURE 0\n", "qubits 2\nH 0\nCNOT 0 1\nMEASURE 1\n"):
+            try:
+                result = aq.compile_for_device(aq.parse_circuit(text), profile,
+                                               budget_threshold=threshold)
+            except aq.CompensationError:
+                continue
+            compiled += 1
+            assert result.budget == aq.check_coherence_budget(result.circuit, profile,
+                                                              threshold)
+        assert compiled >= 1
+
+    def test_compile_costs_the_circuit_once(self, monkeypatch):
+        calls = []
+        real = cost_module.estimate_cost
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cost_module, "estimate_cost", counting)
+        monkeypatch.setattr(pipeline, "estimate_cost", counting)
+        circuit = aq.parse_circuit("qubits 3\nH 0\nCNOT 0 2\nRZ 1 0.3\nMEASURE 1\n")
+        for name in ("superconducting-transmon", "trapped-ion", "neutral-atom"):
+            calls.clear()
+            result = aq.compile_for_device(circuit, builtin_profile(name))
+            assert calls == [result.circuit]

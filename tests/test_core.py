@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import aqmkit as aq
-from aqmkit import gates
+from aqmkit import gates, simulate
+from aqmkit.simulate import apply_gate
 from oracles import haar_unitary, kron_embed, oracle_circuit_unitary, random_circuit, \
     random_state
 
@@ -87,6 +88,83 @@ class TestEmbedGate:
     def test_duplicate_targets(self):
         with pytest.raises(ValueError, match="duplicate"):
             aq.embed_gate(gates.CNOT, [1, 1], 2)
+
+
+class TestCircuitUnitary:
+    """circuit_unitary contracts each gate into the identity with apply_gate."""
+
+    @staticmethod
+    def _random_circuit_with_ccx(rng, n):
+        circuit = random_circuit(rng, n, int(rng.integers(1, 25)))
+        if n >= 3:
+            for _ in range(int(rng.integers(1, 4))):
+                qubits = tuple(int(q) for q in rng.choice(n, size=3, replace=False))
+                position = int(rng.integers(len(circuit.instructions) + 1))
+                circuit.instructions.insert(position, aq.Instruction("CCX", qubits))
+        return circuit
+
+    def test_random_circuits_vs_kron_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            circuit = self._random_circuit_with_ccx(rng, n)
+            mine = aq.circuit_unitary(circuit)
+            assert np.max(np.abs(mine - oracle_circuit_unitary(circuit))) < 1e-12
+
+    def test_batched_apply_gate_matches_column_by_column(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 6):
+            for k in range(1, min(n, 3) + 1):
+                gate = haar_unitary(rng, 2 ** k)
+                targets = [int(q) for q in rng.choice(n, size=k, replace=False)]
+                block = rng.normal(size=(2 ** n, 5)) + 1j * rng.normal(size=(2 ** n, 5))
+                batched = apply_gate(block, gate, targets, n)
+                columns = np.stack([apply_gate(block[:, j], gate, targets, n)
+                                    for j in range(block.shape[1])], axis=1)
+                assert batched.shape == block.shape
+                # A batch goes through a matrix-matrix product, a column through a
+                # matrix-vector one, so the two may round differently.
+                assert np.max(np.abs(batched - columns)) < 1e-12
+
+    @pytest.mark.parametrize("marker", ["MEASURE", "RESET"])
+    def test_markers_have_no_unitary(self, marker):
+        circuit = aq.Circuit(2).add("H", 0).add(marker, 1)
+        with pytest.raises(ValueError, match=marker):
+            aq.circuit_unitary(circuit)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_out_of_range_target_raises(self, n):
+        # Circuit.add checks operands; appending to the list directly does not.
+        circuit = aq.Circuit(n)
+        circuit.instructions.append(aq.Instruction("X", (n,)))
+        with pytest.raises(ValueError, match="out of range"):
+            aq.circuit_unitary(circuit)
+        with pytest.raises(ValueError, match="out of range"):
+            aq.apply_circuit(circuit)
+
+    def test_builds_no_embedded_operator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("circuit_unitary called embed_gate")
+
+        monkeypatch.setattr(simulate, "embed_gate", refuse)
+        circuit = aq.Circuit(3).add("H", 0).add("CCX", 0, 1, 2).add("RZ", 2, angle=0.3)
+        assert np.max(np.abs(aq.circuit_unitary(circuit)
+                             - oracle_circuit_unitary(circuit))) < 1e-12
+
+    def test_every_gate_matrix_checked_unitary(self, monkeypatch):
+        checked = []
+
+        def counting(matrix, *args, **kwargs):
+            checked.append(matrix)
+            return True
+
+        monkeypatch.setattr(simulate, "is_unitary", counting)
+        circuit = random_circuit(np.random.default_rng(5), 4, 30)
+        aq.circuit_unitary(circuit)
+        assert len(checked) == len(circuit.instructions)
+        monkeypatch.setattr(simulate, "is_unitary", lambda matrix, *args, **kwargs: False)
+        with pytest.raises(ValueError, match="not unitary"):
+            aq.circuit_unitary(circuit)
 
 
 class TestApplyCircuit:
