@@ -9,6 +9,7 @@ controls then target), MEASURE q, RESET q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .gates import GATE_ARITY, ROTATION_GATES
@@ -46,7 +47,10 @@ class Instruction:
         if name in ROTATION_GATES:
             if self.angle is None:
                 raise CircuitError(f"{name} requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
+            angle = float(self.angle)
+            if not math.isfinite(angle):
+                raise CircuitError(f"{name} angle must be finite, got {angle}")
+            object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
             raise CircuitError(f"{name} takes no angle")
 

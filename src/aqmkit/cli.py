@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -115,6 +116,8 @@ def cmd_transpile(args) -> int:
         check_approximation_bounds(args.epsilon, args.max_depth)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    if not (math.isfinite(args.budget_threshold) and args.budget_threshold > 0):
+        return _fail("--budget-threshold must be a finite number > 0", EXIT_USAGE)
     try:
         circuit = _load_circuit(args.circuit)
     except CircuitError as exc:

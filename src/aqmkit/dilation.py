@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import MeasurementOperatorSet, validate_measurement_set
+from .measure import MeasurementOperatorSet, draw_branch, validate_measurement_set
 from .simulate import MeasurementRecord, ZERO_PROB
 from .state import StateVector
 
@@ -81,21 +81,7 @@ class DilatedMeasurement:
     def run(self, state: StateVector, seed: int = 0,
             rng: np.random.Generator | None = None) -> MeasurementRecord:
         """Apply the dilation unitary and read the ancillas projectively."""
-        branch_list = self.branches(state)
-        probs = np.array([p for p, _ in branch_list])
-        live = np.flatnonzero(probs >= ZERO_PROB)
-        if rng is None:
-            rng = np.random.Generator(np.random.PCG64(seed))
-        r = rng.random() * float(np.sum(probs[live]))
-        cumulative = 0.0
-        choice = int(live[-1])
-        for k in live:
-            cumulative += probs[k]
-            if r < cumulative:
-                choice = int(k)
-                break
-        prob, post = branch_list[choice]
-        assert post is not None
+        choice, prob, post = draw_branch(self.branches(state), seed, rng)
         return MeasurementRecord(self.outcome_map[choice], prob, post)
 
 

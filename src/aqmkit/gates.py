@@ -62,6 +62,12 @@ FIXED_GATES: dict[str, np.ndarray] = {
     "CNOT": CNOT, "CZ": CZ, "SWAP": SWAP, "CCX": CCX,
 }
 
+# Read-only: gate_matrix hands these arrays out, and a caller's write must
+# not change every later circuit in the process.
+for _matrix in FIXED_GATES.values():
+    _matrix.setflags(write=False)
+del _matrix
+
 ROTATION_GATES = {"RX": rx, "RY": ry, "RZ": rz}
 
 GATE_ARITY: dict[str, int] = {

@@ -11,6 +11,7 @@ patterns give outcome-independent results.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -31,6 +32,10 @@ class PatternStep:
     qubit: int
     angle: float
     sign_deps: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not math.isfinite(self.angle):
+            raise ValueError(f"measurement angle must be finite, got {self.angle}")
 
 
 @dataclass(frozen=True)
@@ -242,8 +247,14 @@ def _parse_adaptivity(expr: str | None) -> tuple[int, ...]:
 
 
 def parse_pattern(text: str) -> MeasurementPattern:
-    """Load a pattern from its JSON file format (at most MAX_PATTERN_NODES nodes)."""
+    """Load a pattern from its JSON file format (at most MAX_PATTERN_NODES nodes).
+
+    Every malformed input raises ValueError (or KeyError for a byproduct
+    rule missing a key).
+    """
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a pattern must be a JSON object")
     required = {"nodes", "edges", "order", "angles", "outputs"}
     allowed = required | {"inputs", "adaptivity", "byproducts"}
     unknown = set(data) - allowed
@@ -252,6 +263,15 @@ def parse_pattern(text: str) -> MeasurementPattern:
     missing = required - set(data)
     if missing:
         raise ValueError(f"missing field(s) {sorted(missing)}")
+    try:
+        return _pattern_from_fields(data)
+    except (TypeError, OverflowError) as exc:
+        # A field of the wrong JSON type (null, a number for a list, Infinity
+        # for a count) fails inside the conversions of _pattern_from_fields.
+        raise ValueError(f"malformed pattern field: {exc}") from None
+
+
+def _pattern_from_fields(data: dict) -> MeasurementPattern:
     nodes = int(data["nodes"])
     if nodes > MAX_PATTERN_NODES:
         raise ValueError(f"pattern has {nodes} nodes; at most {MAX_PATTERN_NODES} are supported")

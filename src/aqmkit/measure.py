@@ -89,28 +89,38 @@ def measurement_branches(mset: MeasurementOperatorSet, state: StateVector,
     return branches
 
 
-def apply_measurement(mset: MeasurementOperatorSet, state: StateVector, seed: int = 0,
-                      rng: np.random.Generator | None = None) -> MeasurementRecord:
-    """Sample one outcome of a general measurement and collapse the state.
+def draw_branch(branches: list[tuple[float, StateVector | None]], seed: int = 0,
+                rng: np.random.Generator | None = None,
+                ) -> tuple[int, float, StateVector]:
+    """Sample one of `branches` by probability: (index, probability, post-state).
 
-    Zero-probability branches are never sampled.
+    Branches below ZERO_PROB are never drawn. One ``rng.random()`` per draw,
+    scaled to the live probability mass and walked along its cumulative sum.
     """
-    branches = measurement_branches(mset, state)
     probs = np.array([p for p, _ in branches])
     live = np.flatnonzero(probs >= ZERO_PROB)
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(seed))
     r = rng.random() * float(np.sum(probs[live]))
     cumulative = 0.0
-    outcome = int(live[-1])
+    index = int(live[-1])
     for k in live:
         cumulative += probs[k]
         if r < cumulative:
-            outcome = int(k)
+            index = int(k)
             break
-    prob, post = branches[outcome]
+    prob, post = branches[index]
     assert post is not None
-    return MeasurementRecord(outcome, prob, post)
+    return index, prob, post
+
+
+def apply_measurement(mset: MeasurementOperatorSet, state: StateVector, seed: int = 0,
+                      rng: np.random.Generator | None = None) -> MeasurementRecord:
+    """Sample one outcome of a general measurement and collapse the state.
+
+    Zero-probability branches are never sampled.
+    """
+    return MeasurementRecord(*draw_branch(measurement_branches(mset, state), seed, rng))
 
 
 def initialization_set(target: StateVector) -> MeasurementOperatorSet:

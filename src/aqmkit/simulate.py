@@ -6,9 +6,13 @@ batch; ``embed_gate`` builds the explicit 2^n-dimensional operator when a
 dense matrix is wanted (oracles, routing checks). MEASURE samples a computational
 basis outcome for one qubit with the seeded generator and collapses the
 state; RESET performs initialization-by-measurement to |0> (a measurement
-whose every branch leaves the qubit in |0>). ``sample_counts`` histograms
-many shots, drawing them all from one simulation when the MEASUREs are
-terminal.
+whose every branch leaves the qubit in |0>).
+
+``sample_counts`` histograms many shots by shot branching: one depth-first
+walk carries a branch and its shot count, splits the count with one
+binomial draw at each MEASURE or RESET, and draws each branch's trailing
+MEASUREs from one multinomial. A circuit whose MEASUREs are all terminal is
+the walk with no split: one simulation and one multinomial.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .circuit import Circuit
+from .circuit import Circuit, Instruction
 from .linalg import is_unitary
 from .state import StateVector, basis_state
 
@@ -26,6 +30,10 @@ ZERO_PROB = 1e-14
 
 # Widest register `aqm simulate` accepts: 2**24 complex128 amplitudes are 256 MiB.
 MAX_SIM_QUBITS = 24
+
+# Amplitude bytes that sample_counts keeps in pending sibling branches: one
+# MAX_SIM_QUBITS register. Past it, a sibling is rebuilt by replay instead.
+MAX_PENDING_BYTES = 2 ** MAX_SIM_QUBITS * 16
 
 
 @dataclass(frozen=True)
@@ -96,12 +104,22 @@ def apply_gate(amps: np.ndarray, gate: np.ndarray, targets, num_qubits: int) -> 
     return np.ascontiguousarray(out).reshape(amps.shape)
 
 
+def _one_probability(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, float]:
+    """Bit `qubit` of every basis index, and the probability that it reads 1."""
+    mask = (np.arange(amps.size) >> qubit) & 1
+    return mask, float(np.sum(np.abs(amps[mask == 1]) ** 2))
+
+
+def _collapse(amps: np.ndarray, mask: np.ndarray, outcome: int, prob: float) -> np.ndarray:
+    """Project onto the basis states whose `mask` bit equals `outcome`, renormalized."""
+    post = np.where(mask == outcome, amps, 0.0)
+    return post / np.sqrt(prob)
+
+
 def _measure_bit(amps: np.ndarray, qubit: int,
                  rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
     """Sample qubit's Z outcome, collapse and renormalize. Returns (j, p_j, amps)."""
-    index = np.arange(amps.size)
-    mask = (index >> qubit) & 1
-    p1 = float(np.sum(np.abs(amps[mask == 1]) ** 2))
+    mask, p1 = _one_probability(amps, qubit)
     p0 = 1.0 - p1
     if p0 < ZERO_PROB:
         outcome = 1
@@ -110,9 +128,7 @@ def _measure_bit(amps: np.ndarray, qubit: int,
     else:
         outcome = 1 if rng.random() >= p0 else 0
     prob = p1 if outcome == 1 else p0
-    post = np.where(mask == outcome, amps, 0.0)
-    post = post / np.sqrt(prob)
-    return outcome, prob, post
+    return outcome, prob, _collapse(amps, mask, outcome, prob)
 
 
 def apply_circuit(circuit: Circuit, initial: StateVector | None = None, seed: int = 0,
@@ -151,29 +167,46 @@ def apply_circuit(circuit: Circuit, initial: StateVector | None = None, seed: in
     return StateVector(amps), records
 
 
-def sample_counts(circuit: Circuit, shots: int,
-                  rng: np.random.Generator) -> dict[str, int]:
-    """Histogram of MEASURE record strings (bits in MEASURE order) over `shots` runs.
+def _branch(amps: np.ndarray, mask: np.ndarray, outcome: int, prob: float,
+            inst: Instruction, num_qubits: int) -> np.ndarray:
+    """The branch of MEASURE or RESET `inst` that read `outcome` (probability `prob`).
 
-    When the MEASUREs form a terminal suffix (no gate or RESET after the
-    first MEASURE), the gate prefix is simulated once and every shot is drawn
-    from one multinomial over the measured qubits' marginal: O(2^n) work
-    whatever `shots` is. Otherwise the whole circuit is re-run per shot.
+    The collapsed state goes through ``StateVector``, so a non-finite or
+    unnormalized branch raises; RESET then flips an outcome-1 branch to |0>.
     """
-    instructions = circuit.instructions
-    first = next((i for i, inst in enumerate(instructions) if inst.gate == "MEASURE"),
-                 len(instructions))
-    suffix = instructions[first:]
-    if any(inst.gate != "MEASURE" for inst in suffix):
-        counts: dict[str, int] = {}
-        for _ in range(shots):
-            _, records = apply_circuit(circuit, rng=rng)
-            bits = "".join(str(r.outcome_index) for r in records)
-            counts[bits] = counts.get(bits, 0) + 1
-        return counts
+    amps = StateVector(_collapse(amps, mask, outcome, prob)).amplitudes
+    if inst.gate == "RESET" and outcome == 1:
+        amps = apply_gate(amps, gates.X, inst.qubits, num_qubits)
+    return amps
 
-    n = circuit.num_qubits
-    state, _ = apply_circuit(Circuit(n, instructions[:first]))
+
+def _replay(prefix: list[Instruction], outcomes: tuple[int, ...],
+            num_qubits: int) -> np.ndarray:
+    """Re-run `prefix` from |0...0> with its MEASURE/RESET outcomes forced.
+
+    Draws no random numbers and repeats the walk's arithmetic, so the rebuilt
+    branch is bit-identical to the one the walk would have stored.
+    """
+    amps = basis_state(num_qubits, 0).amplitudes
+    forced = iter(outcomes)
+    for inst in prefix:
+        if inst.gate in gates.MARKERS:
+            outcome = next(forced)
+            mask, p1 = _one_probability(amps, inst.qubits[0])
+            amps = _branch(amps, mask, outcome, p1 if outcome else 1.0 - p1, inst, num_qubits)
+        else:
+            matrix = gates.gate_matrix(inst.gate, inst.angle)
+            amps = apply_gate(amps, matrix, inst.qubits, num_qubits)
+    return amps
+
+
+def _draw_suffix(state: StateVector, suffix: list[Instruction], shots: int,
+                 rng: np.random.Generator) -> dict[str, int]:
+    """Record strings of a MEASURE-only `suffix` over `shots` runs from `state`.
+
+    One multinomial over the measured qubits' marginal draws every shot.
+    """
+    n = state.num_qubits
     measured = sorted({inst.qubits[0] for inst in suffix})
     # Axis a of the (2,)*n view holds qubit n-1-a; bring the measured qubits
     # to the front in `measured` order and sum out the rest.
@@ -189,6 +222,68 @@ def sample_counts(circuit: Circuit, shots: int,
     order = [shift[inst.qubits[0]] for inst in suffix]
     return {"".join(str((int(cell) >> s) & 1) for s in order): int(count)
             for cell, count in zip(cells, drawn) if count}
+
+
+def sample_counts(circuit: Circuit, shots: int,
+                  rng: np.random.Generator) -> dict[str, int]:
+    """Histogram of MEASURE record strings (bits in MEASURE order) over `shots` runs.
+
+    Shot branching: a depth-first walk carries one branch and its shot count
+    k. At a MEASURE or RESET, one ``rng.binomial(k, p1)`` splits k between
+    the two outcomes (an outcome below ZERO_PROB gets no shots); outcome 0
+    goes on and outcome 1 waits on a stack, so at most one sibling is
+    pending per split level. Once only MEASUREs remain, the branch's shots
+    come from one multinomial over their marginal. A terminal-MEASURE circuit
+    never splits: one simulation, one multinomial. There are never more
+    branches than shots, so no more gates are applied than by re-running the
+    circuit per shot.
+
+    Pending siblings hold at most MAX_PENDING_BYTES of amplitudes; past that,
+    a sibling is kept as its outcome list and rebuilt by ``_replay``, which
+    draws nothing, so the histogram is the same either way.
+    """
+    instructions = circuit.instructions
+    n = circuit.num_qubits
+    leaf = max((i + 1 for i, inst in enumerate(instructions) if inst.gate != "MEASURE"),
+               default=0)
+    suffix = instructions[leaf:]
+    # Which MEASURE/RESET outcomes before `leaf` write a record bit.
+    recorded = [inst.gate == "MEASURE" for inst in instructions[:leaf]
+                if inst.gate in gates.MARKERS]
+    counts: dict[str, int] = {}
+    pending_bytes = 0
+    # (next instruction, shots, outcomes so far, amplitudes or None to replay)
+    stack: list[tuple[int, int, tuple[int, ...], np.ndarray | None]] = [(0, shots, (), None)]
+    while stack:
+        start, k, outcomes, amps = stack.pop()
+        if amps is None:
+            amps = _replay(instructions[:start], outcomes, n)
+        else:
+            pending_bytes -= amps.nbytes
+        for i in range(start, leaf):
+            inst = instructions[i]
+            if inst.gate not in gates.MARKERS:
+                matrix = gates.gate_matrix(inst.gate, inst.angle)
+                amps = apply_gate(amps, matrix, inst.qubits, n)
+                continue
+            mask, p1 = _one_probability(amps, inst.qubits[0])
+            p0 = 1.0 - p1
+            ones = k if p0 < ZERO_PROB else 0 if p1 < ZERO_PROB else int(rng.binomial(k, p1))
+            if 0 < ones < k:
+                sibling = None
+                if pending_bytes + amps.nbytes <= MAX_PENDING_BYTES:
+                    sibling = _branch(amps, mask, 1, p1, inst, n)
+                    pending_bytes += sibling.nbytes
+                stack.append((i + 1, ones, outcomes + (1,), sibling))
+                k, outcome = k - ones, 0
+            else:
+                outcome = 1 if ones else 0
+            amps = _branch(amps, mask, outcome, p1 if outcome else p0, inst, n)
+            outcomes += (outcome,)
+        record = "".join(str(bit) for bit, kept in zip(outcomes, recorded) if kept)
+        for bits, count in _draw_suffix(StateVector(amps), suffix, k, rng).items():
+            counts[record + bits] = counts.get(record + bits, 0) + count
+    return counts
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

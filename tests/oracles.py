@@ -3,7 +3,8 @@
 These deliberately take different computational routes from the library:
 dense Kronecker products with explicit permutation matrices instead of
 index-scatter embedding or tensor contraction, exhaustive path enumeration
-instead of BFS, closed-form binomials instead of probability propagation.
+instead of BFS, closed-form binomials instead of probability propagation,
+every measurement branch enumerated instead of shots sampled.
 """
 
 from __future__ import annotations
@@ -43,6 +44,42 @@ def oracle_circuit_unitary(circuit: Circuit) -> np.ndarray:
         matrix = gates.gate_matrix(inst.gate, inst.angle)
         full = kron_embed(matrix, inst.qubits, circuit.num_qubits) @ full
     return full
+
+
+def oracle_record_distribution(circuit: Circuit) -> dict[str, float]:
+    """Exact distribution of the MEASURE record string, by branch enumeration.
+
+    Gates are applied with ``kron_embed``; a MEASURE or RESET splits every
+    branch into its two computational outcomes, and RESET flips the
+    outcome-1 branch back to |0>.
+    """
+    n = circuit.num_qubits
+    index = np.arange(2 ** n)
+    state = np.zeros(2 ** n, dtype=complex)
+    state[0] = 1.0
+    branches = [("", state)]  # (record so far, unnormalised amplitudes)
+    for inst in circuit.instructions:
+        q = inst.qubits[0]
+        if inst.gate in ("MEASURE", "RESET"):
+            split = []
+            for record, amps in branches:
+                for bit in (0, 1):
+                    part = np.where(((index >> q) & 1) == bit, amps, 0.0)
+                    if np.vdot(part, part).real < 1e-20:
+                        continue
+                    if inst.gate == "MEASURE":
+                        split.append((record + str(bit), part))
+                    else:
+                        flipped = kron_embed(gates.X, [q], n) @ part if bit else part
+                        split.append((record, flipped))
+            branches = split
+        else:
+            op = kron_embed(gates.gate_matrix(inst.gate, inst.angle), inst.qubits, n)
+            branches = [(record, op @ amps) for record, amps in branches]
+    probs: dict[str, float] = {}
+    for record, amps in branches:
+        probs[record] = probs.get(record, 0.0) + float(np.vdot(amps, amps).real)
+    return probs
 
 
 def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

@@ -32,6 +32,13 @@ class TestInstructionValidation:
         with pytest.raises(aq.CircuitError, match="out of range"):
             aq.Circuit(2).add("H", 2)
 
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_angle_refused(self, angle):
+        with pytest.raises(aq.CircuitError, match="finite"):
+            aq.Circuit(1).add("RZ", 0, angle=angle)
+        with pytest.raises(CircuitParseError, match="line 2.*finite"):
+            aq.parse_circuit(f"qubits 1\nRX 0 {angle}\n")
+
     def test_names_case_insensitive(self):
         c = aq.Circuit(1).add("h", 0).add("rz", 0, angle=0.25)
         assert [i.gate for i in c.instructions] == ["H", "RZ"]

@@ -144,11 +144,13 @@ class TestSimulate:
         assert elapsed < 0.1
 
     def test_trillion_shots_sum_exactly(self, tmp_path):
-        path = tmp_path / "ghz.txt"
-        path.write_text(GHZ)
-        code, out, _ = run_cli("simulate", str(path), "--shots", str(10 ** 12), "--json")
-        assert code == 0
-        assert sum(json.loads(out)["counts"].values()) == 10 ** 12
+        mid_circuit = "qubits 2\nH 0\nMEASURE 0\nRESET 0\nH 1\nCNOT 1 0\nMEASURE 0\nH 0\n"
+        for name, text in (("ghz", GHZ), ("mid", mid_circuit)):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text)
+            code, out, _ = run_cli("simulate", str(path), "--shots", str(10 ** 12), "--json")
+            assert code == 0
+            assert sum(json.loads(out)["counts"].values()) == 10 ** 12
 
     def test_shots_beyond_int64_is_usage_error(self, bell_path):
         assert_one_error_line(*run_cli("simulate", bell_path, "--shots", str(MAX_SHOTS + 1)))
@@ -157,7 +159,7 @@ class TestSimulate:
         def refuse(*args, **kwargs):
             raise AssertionError("a capped circuit must not reach the simulator")
 
-        monkeypatch.setattr(simulate, "apply_circuit", refuse)
+        monkeypatch.setattr(cli, "sample_counts", refuse)
         for width in (simulate.MAX_SIM_QUBITS + 1, 40):
             path = tmp_path / f"wide{width}.txt"
             path.write_text(f"qubits {width}\nH 0\nMEASURE 0\n")
@@ -321,6 +323,23 @@ class TestTranspile:
                                  "superconducting-transmon", *flags)
         assert_one_error_line(code, out, err)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5"])
+    def test_budget_threshold_must_be_finite_and_positive(self, tmp_path, value):
+        circuit = tmp_path / "c.txt"
+        circuit.write_text("qubits 1\nH 0\n")
+        code, out, err = run_cli("transpile", str(circuit), "--profile",
+                                 "superconducting-transmon", f"--budget-threshold={value}")
+        assert_one_error_line(code, out, err)
+        assert "--budget-threshold" in err
+
+    def test_non_finite_angle_is_parse_error(self, tmp_path):
+        for angle in ("nan", "inf", "-inf"):
+            circuit = tmp_path / f"{angle}.txt"
+            circuit.write_text(f"qubits 1\nRZ 0 {angle}\n")
+            code, out, err = run_cli("transpile", str(circuit), "--profile", "trapped-ion")
+            assert_one_error_line(code, out, err)
+            assert "line 2" in err and "finite" in err
+
     def test_shots_must_be_positive(self, bell_path):
         code, _, _ = run_cli("simulate", bell_path, "--shots", "0")
         assert code == 1
@@ -407,6 +426,19 @@ class TestOtherCommands:
         pattern.write_text('{"nodes": 2}')
         code, _, err = run_cli("mbqc", "--pattern", str(pattern))
         assert code == 1 and "missing" in err
+
+    @pytest.mark.parametrize("body", [
+        '{"nodes": null, "edges": [], "order": [], "angles": [], "outputs": []}',
+        '{"nodes": Infinity, "edges": [], "order": [], "angles": [], "outputs": []}',
+        "5",
+        '{"nodes": 1, "edges": [], "order": [0], "angles": [NaN], "outputs": []}',
+    ], ids=["null-nodes", "infinite-nodes", "top-level-number", "nan-angle"])
+    def test_mbqc_malformed_pattern_is_usage_error(self, tmp_path, body):
+        pattern = tmp_path / "bad.json"
+        pattern.write_text(body)
+        code, out, err = run_cli("mbqc", "--pattern", str(pattern))
+        assert_one_error_line(code, out, err)
+        assert err.startswith("error: cannot load pattern")
 
     def test_anneal_trace(self, problem_path):
         code, out, _ = run_cli("anneal", "--problem", problem_path, "--t-final", "2",

@@ -151,6 +151,13 @@ class TestCircuitUnitary:
         assert np.max(np.abs(aq.circuit_unitary(circuit)
                              - oracle_circuit_unitary(circuit))) < 1e-12
 
+    def test_fixed_gate_table_is_read_only(self):
+        for name in gates.FIXED_GATES:
+            matrix = gates.gate_matrix(name)
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 0
+        assert gates.gate_matrix("H")[0, 0] == pytest.approx(1 / np.sqrt(2))
+
     def test_every_gate_matrix_checked_unitary(self, monkeypatch):
         checked = []
 

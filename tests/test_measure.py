@@ -96,6 +96,24 @@ class TestApplication:
             counts[aq.apply_measurement(mset, psi, rng=stream).outcome_index] += 1
         assert np.max(np.abs(counts / 20000 - expected)) < 0.02
 
+    def test_seeded_outcomes_pinned(self):
+        # Recorded before the direct and dilated paths shared one sampler: one
+        # rng.random() per draw keeps every seeded sequence bit-identical.
+        source = np.random.Generator(np.random.PCG64(31))
+        draws = np.random.Generator(np.random.PCG64(7))
+        direct, dilated = [], []
+        for n, k in ((1, 2), (1, 5), (2, 3), (2, 7)):
+            mset = aq.MeasurementOperatorSet(n, tuple(random_measurement_set(source, n, k)))
+            psi = aq.StateVector(random_state(source, n))
+            dilation = aq.synthesize_measurement(mset)
+            direct.append([aq.apply_measurement(mset, psi, rng=draws).outcome_index
+                           for _ in range(6)])
+            dilated.append([dilation.run(psi, rng=draws).outcome_index for _ in range(6)])
+        assert direct == [[1, 1, 1, 0, 0, 1], [0, 2, 2, 2, 4, 3], [0, 0, 0, 1, 0, 0],
+                          [2, 0, 5, 1, 2, 5]]
+        assert dilated == [[0, 1, 1, 0, 0, 0], [2, 4, 0, 0, 2, 0], [0, 0, 0, 0, 1, 0],
+                           [3, 5, 5, 5, 0, 3]]
+
 
 class TestInitializeViaMeasurement:
     def test_zero_from_one(self):

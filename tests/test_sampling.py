@@ -1,16 +1,17 @@
-"""sample_counts: one-simulation sampling of terminal MEASURE suffixes.
+"""sample_counts: shot branching over the measurement tree.
 
-The exact record distribution comes from ``oracles.oracle_circuit_unitary``
-(Kronecker-chain unitaries) and an explicit loop over basis indices; the
-per-shot path, forced by a trailing gate, is the distributional reference
-for the one-simulation path.
+Exact record distributions come from ``oracles.oracle_circuit_unitary``
+(Kronecker-chain unitaries) with an explicit loop over basis indices for
+terminal MEASURE suffixes, and from ``oracles.oracle_record_distribution``
+(every MEASURE/RESET branch enumerated) for mid-circuit measurement. Every
+count must lie within a Bernstein bound at false-alarm probability 1e-9.
 """
 
 import math
 
 import numpy as np
 import pytest
-from oracles import oracle_circuit_unitary, random_circuit
+from oracles import oracle_circuit_unitary, oracle_record_distribution, random_circuit
 
 from aqmkit import Circuit, parse_circuit, sample_counts
 from aqmkit import simulate
@@ -67,6 +68,23 @@ def sample_circuits():
     return circuits
 
 
+def mid_circuit_circuits():
+    """Random gates with MEASUREs and RESETs between them, 4 circuits per width 1-5."""
+    source = rng(2025)
+    circuits = []
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            circuit = Circuit(n)
+            for marker in ("MEASURE", "RESET", "MEASURE"):
+                circuit.extend(random_circuit(source, n, 3 * n).instructions)
+                circuit.add(marker, int(source.integers(n)))
+            if source.random() < 0.5:
+                circuit.add("H", int(source.integers(n)))
+            circuit.add("MEASURE", int(source.integers(n)))
+            circuits.append(circuit)
+    return circuits
+
+
 class TestSampleCounts:
     @pytest.mark.parametrize("index", range(15))
     def test_terminal_suffix_matches_oracle_marginal(self, index):
@@ -76,19 +94,25 @@ class TestSampleCounts:
         assert_matches(counts, exact_records(circuit), shots)
 
     @pytest.mark.parametrize("index", (4, 8, 13))
-    def test_matches_forced_per_shot_path(self, index):
+    def test_branching_after_trailing_gate_matches_oracle(self, index):
         circuit = sample_circuits()[index]
-        # A trailing gate after the suffix changes no record but forces the
-        # per-shot path.
+        # A trailing gate changes no record but turns every MEASURE into a
+        # split of the walk instead of part of the terminal multinomial.
         forced = circuit.copy().add("Z", 0)
         shots = 2000
-        fast = sample_counts(circuit, shots, rng(1))
-        slow = sample_counts(forced, shots, rng(1))
-        probs = exact_records(circuit)
-        assert_matches(slow, probs, shots)
-        for key in set(fast) | set(slow):
-            p = probs.get(key, 0.0)
-            assert abs(fast.get(key, 0) - slow.get(key, 0)) <= 2 * bernstein_slack(shots, p)
+        probs = oracle_record_distribution(forced)
+        exact = exact_records(circuit)
+        for key in set(probs) | set(exact):
+            assert abs(probs.get(key, 0.0) - exact.get(key, 0.0)) <= 1e-12, key
+        assert_matches(sample_counts(circuit, shots, rng(1)), probs, shots)
+        assert_matches(sample_counts(forced, shots, rng(1)), probs, shots)
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_mid_circuit_measure_and_reset_match_oracle(self, index):
+        circuit = mid_circuit_circuits()[index]
+        shots = 4000
+        counts = sample_counts(circuit, shots, rng(index))
+        assert_matches(counts, oracle_record_distribution(circuit), shots)
 
     def test_record_order_differs_from_qubit_order(self):
         circuit = parse_circuit("qubits 3\nX 0\nX 2\nMEASURE 1\nMEASURE 2\nMEASURE 0\n")
@@ -112,35 +136,74 @@ class TestSampleCounts:
         # H·H leaves rounding-level amplitude on |1>, below ZERO_PROB.
         circuit = parse_circuit("qubits 2\nH 0\nH 0\nH 1\nMEASURE 0\nMEASURE 1\n")
         assert set(sample_counts(circuit, 10 ** 6, rng(0))) == {"00", "01"}
-        # P(0) = sin^2(1e-8) = 1e-16 is below ZERO_PROB, so, as in the per-shot
-        # path, even 10^18 shots (about 100 expected) never draw it.
+        # P(0) = sin^2(1e-8) = 1e-16 is below ZERO_PROB, so even 10^18 shots
+        # (about 100 expected) never draw it, neither from the terminal
+        # multinomial nor at a mid-circuit split (forced by the trailing H).
         tilted = parse_circuit("qubits 1\nX 0\nRY 0 2e-8\nMEASURE 0\n")
         assert sample_counts(tilted, 10 ** 18, rng(0)) == {"1": 10 ** 18}
+        assert sample_counts(tilted.copy().add("H", 0), 10 ** 18, rng(0)) == {"1": 10 ** 18}
 
     def test_reruns_identical_per_seed(self):
-        circuit = sample_circuits()[10]
-        first = sample_counts(circuit, 5000, rng(7))
-        assert sample_counts(circuit, 5000, rng(7)) == first
-        assert sample_counts(circuit, 5000, rng(8)) != first
+        for circuit in (sample_circuits()[10], mid_circuit_circuits()[13]):
+            first = sample_counts(circuit, 5000, rng(7))
+            assert list(sample_counts(circuit, 5000, rng(7)).items()) == list(first.items())
+            assert sample_counts(circuit, 5000, rng(8)) != first
 
     def test_terminal_suffix_simulates_once(self, monkeypatch):
+        # Counted in gate applications: one per gate of the circuit.
         calls = []
-        original = simulate.apply_circuit
+        original = simulate.apply_gate
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "apply_circuit", counting)
+        monkeypatch.setattr(simulate, "apply_gate", counting)
         terminal = parse_circuit("qubits 2\nH 0\nCNOT 0 1\nMEASURE 0\nMEASURE 1\n")
         sample_counts(terminal, 300, rng(0))
-        assert len(calls) == 1
+        assert len(calls) == 2
         calls.clear()
+        # H once, then the MEASURE splits the 300 shots into two branches
+        # and each applies CNOT once: 3 calls, where one run per shot made 600.
         mid_circuit = parse_circuit("qubits 2\nH 0\nMEASURE 0\nCNOT 0 1\nMEASURE 1\n")
         sample_counts(mid_circuit, 300, rng(0))
-        assert len(calls) == 300
+        assert len(calls) == 3
 
-    def test_reset_keeps_per_shot_path(self):
+    def test_reset_branches_match_oracle(self):
         circuit = parse_circuit("qubits 1\nH 0\nMEASURE 0\nRESET 0\nMEASURE 0\n")
+        probs = oracle_record_distribution(circuit)
+        assert probs == pytest.approx({"00": 0.5, "10": 0.5}, abs=1e-12)
         counts = sample_counts(circuit, 2000, rng(5))
-        assert_matches(counts, {"00": 0.5, "10": 0.5}, 2000)
+        assert_matches(counts, probs, 2000)
+
+    def test_pending_byte_cap_replays_identically(self, monkeypatch):
+        circuit = mid_circuit_circuits()[18]
+        uncapped = sample_counts(circuit, 3000, rng(4))
+        replays = []
+        original = simulate._replay
+
+        def counting(*args, **kwargs):
+            replays.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_replay", counting)
+        monkeypatch.setattr(simulate, "MAX_PENDING_BYTES", 0)
+        capped = sample_counts(circuit, 3000, rng(4))
+        assert len(replays) > 1  # every pending sibling was rebuilt by replay
+        assert list(capped.items()) == list(uncapped.items())
+
+    def test_invalid_states_still_raise(self, monkeypatch):
+        # A non-unitary "I" leaves an unnormalized state. In the mid-circuit
+        # case the second MEASURE renormalizes it before the trailing Z ends
+        # the walk, so only the check on each collapsed branch can see it.
+        original = simulate.gates.gate_matrix
+
+        def scaled_identity(name, angle=None):
+            return 1.5 * np.eye(2) if name == "I" else original(name, angle)
+
+        monkeypatch.setattr(simulate.gates, "gate_matrix", scaled_identity)
+        terminal = parse_circuit("qubits 1\nI 0\nMEASURE 0\n")
+        mid_circuit = parse_circuit("qubits 1\nI 0\nMEASURE 0\nX 0\nMEASURE 0\nZ 0\n")
+        for circuit in (terminal, mid_circuit):
+            with pytest.raises(ValueError, match="not normalized"):
+                sample_counts(circuit, 10, rng(0))
