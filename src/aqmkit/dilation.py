@@ -3,8 +3,8 @@
 A K-outcome measurement {m_k} on n qubits becomes one unitary on the system
 plus ceil(log2 K) ancillas followed by a projective computational-basis
 readout of the ancillas: the isometry V|psi> = sum_k (m_k|psi>) (x) |k> is
-completed to a unitary by Gram-Schmidt over the standard basis (deterministic
-column order), and ancilla outcome k reproduces outcome k of the direct
+completed to a unitary by a complete QR factorization, keeping V's columns
+exactly, and ancilla outcome k reproduces outcome k of the direct
 measurement exactly, post-state included.
 """
 
@@ -14,31 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import MeasurementOperatorSet, draw_branch, validate_measurement_set
-from .simulate import MeasurementRecord, ZERO_PROB
+from .measure import (MeasurementOperatorSet, draw_branch, normalized_branches,
+                      validate_measurement_set)
+from .simulate import MeasurementRecord
 from .state import StateVector
-
-_GS_TOL = 1e-9
-
-
-def _complete_columns(columns: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary via Gram-Schmidt."""
-    dim = columns.shape[0]
-    cols = [columns[:, j] for j in range(columns.shape[1])]
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        vec = np.zeros(dim, dtype=complex)
-        vec[i] = 1.0
-        for _ in range(2):  # re-orthogonalize for numerical stability
-            for existing in cols:
-                vec = vec - np.vdot(existing, vec) * existing
-        norm = np.linalg.norm(vec)
-        if norm > _GS_TOL:
-            cols.append(vec / norm)
-    if len(cols) != dim:
-        raise RuntimeError("column completion failed to span the space")
-    return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -68,15 +47,7 @@ class DilatedMeasurement:
     def branches(self, state: StateVector) -> list[tuple[float, StateVector | None]]:
         """All K outcome probabilities and post-states, deterministically."""
         rows = self._joint_branches(state)
-        result: list[tuple[float, StateVector | None]] = []
-        for k in sorted(self.outcome_map):
-            branch = rows[k]
-            prob = float(np.real(np.vdot(branch, branch)))
-            if prob < ZERO_PROB:
-                result.append((prob, None))
-            else:
-                result.append((prob, StateVector(branch / np.sqrt(prob))))
-        return result
+        return normalized_branches(rows[k] for k in sorted(self.outcome_map))
 
     def run(self, state: StateVector, seed: int = 0,
             rng: np.random.Generator | None = None) -> MeasurementRecord:
@@ -97,6 +68,8 @@ def synthesize_measurement(mset: MeasurementOperatorSet) -> DilatedMeasurement:
     isometry = np.zeros((total, dim), dtype=complex)
     for k, op in enumerate(mset.operators):
         isometry[k * dim:(k + 1) * dim, :] = op
-    unitary = _complete_columns(isometry)
+    # The complete QR's trailing columns span the complement of V's range.
+    q, _ = np.linalg.qr(isometry, mode="complete")
+    unitary = np.hstack([isometry, q[:, dim:]])
     outcome_map = {k: k for k in range(k_outcomes)}
     return DilatedMeasurement(mset, unitary, mset.num_qubits, num_ancillas, outcome_map)

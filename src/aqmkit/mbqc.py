@@ -102,6 +102,13 @@ def build_cluster_state(graph: ConnectivityGraph) -> StateVector:
     return StateVector(amps)
 
 
+def _relabel(amps: np.ndarray, order) -> np.ndarray:
+    """The register whose qubit j is qubit order[j] of `amps`: one transpose."""
+    m = len(order)
+    axes = [m - 1 - order[j] for j in reversed(range(m))]
+    return amps.reshape((2,) * m).transpose(axes).reshape(-1)
+
+
 def _initial_register(pattern: MeasurementPattern,
                       input_state: StateVector | None) -> np.ndarray:
     n = pattern.graph.num_qubits
@@ -111,16 +118,12 @@ def _initial_register(pattern: MeasurementPattern,
         raise ValueError(
             f"input state has {input_state.num_qubits} qubit(s); pattern declares "
             f"{len(pattern.inputs)} input(s)")
-    # Input qubit j rides on pattern qubit inputs[j]; all others start in |+>.
-    scale = 2.0 ** (-(n - len(pattern.inputs)) / 2)
-    amps = np.empty(2 ** n, dtype=complex)
-    positions = pattern.inputs
-    for index in range(2 ** n):
-        local = 0
-        for j, pos in enumerate(positions):
-            local |= ((index >> pos) & 1) << j
-        amps[index] = input_state.amplitudes[local] * scale
-    return amps
+    # Input qubit j rides on pattern qubit inputs[j]; all others start in |+>:
+    # tile the inputs as the low qubits, then relabel.
+    free = n - len(pattern.inputs)
+    low_inputs = np.tile(input_state.amplitudes * 2.0 ** (-free / 2), 2 ** free)
+    sources = list(pattern.inputs) + [q for q in range(n) if q not in pattern.inputs]
+    return _relabel(low_inputs, [sources.index(q) for q in range(n)])
 
 
 def _project_out(amps: np.ndarray, axis_qubits: list[int], qubit: int,
@@ -175,13 +178,7 @@ def mbqc_execute(pattern: MeasurementPattern, input_state: StateVector | None = 
 
     # Reorder the surviving register so qubit j of the result is outputs[j].
     k = len(pattern.outputs)
-    position = {q: i for i, q in enumerate(live)}
-    reordered = np.empty(2 ** k, dtype=complex)
-    for index in range(2 ** k):
-        target = 0
-        for j, q in enumerate(pattern.outputs):
-            target |= ((index >> position[q]) & 1) << j
-        reordered[target] = amps[index]
+    reordered = _relabel(amps, [live.index(q) for q in pattern.outputs])
 
     powers = {q: [0, 0] for q in pattern.outputs}
     for rule in pattern.byproducts:

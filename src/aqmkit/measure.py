@@ -61,9 +61,13 @@ def validate_measurement_set(mset: MeasurementOperatorSet) -> CompletenessCheck:
     return CompletenessCheck(deviation <= COMPLETENESS_TOL, deviation)
 
 
-def outcome_probabilities(mset: MeasurementOperatorSet, state: StateVector) -> np.ndarray:
-    psi = state.amplitudes
-    return np.array([float(np.real(np.vdot(op @ psi, op @ psi))) for op in mset.operators])
+def normalized_branches(rows) -> list[tuple[float, StateVector | None]]:
+    """(probability, post-state) of each unnormalized branch; None below ZERO_PROB."""
+    branches: list[tuple[float, StateVector | None]] = []
+    for row in rows:
+        prob = float(np.real(np.vdot(row, row)))
+        branches.append((prob, None if prob < ZERO_PROB else StateVector(row / np.sqrt(prob))))
+    return branches
 
 
 def measurement_branches(mset: MeasurementOperatorSet, state: StateVector,
@@ -78,15 +82,7 @@ def measurement_branches(mset: MeasurementOperatorSet, state: StateVector,
         raise ValueError(f"measurement set is not complete (deviation {check.max_deviation:.3e})")
     if state.num_qubits != mset.num_qubits:
         raise ValueError("state and measurement set qubit counts differ")
-    branches: list[tuple[float, StateVector | None]] = []
-    for op in mset.operators:
-        post = op @ state.amplitudes
-        prob = float(np.real(np.vdot(post, post)))
-        if prob < ZERO_PROB:
-            branches.append((prob, None))
-        else:
-            branches.append((prob, StateVector(post / np.sqrt(prob))))
-    return branches
+    return normalized_branches(op @ state.amplitudes for op in mset.operators)
 
 
 def draw_branch(branches: list[tuple[float, StateVector | None]], seed: int = 0,

@@ -3,10 +3,13 @@
 Gates are applied by tensor contraction on the reshaped amplitude array,
 which ``circuit_unitary`` also uses, treating the identity's columns as a
 batch; ``embed_gate`` builds the explicit 2^n-dimensional operator when a
-dense matrix is wanted (oracles, routing checks). MEASURE samples a computational
-basis outcome for one qubit with the seeded generator and collapses the
-state; RESET performs initialization-by-measurement to |0> (a measurement
-whose every branch leaves the qubit in |0>).
+dense matrix is wanted (oracles, routing checks). Gate matrices are unitary by
+construction (a read-only table, finite angles) and are not re-checked.
+MEASURE samples a computational basis outcome for one qubit with the seeded
+generator and collapses the state, reading and zeroing the qubit's halves
+through the strided view ``amps.reshape(-1, 2, 2**q)``; RESET performs
+initialization-by-measurement to |0> (a measurement whose every branch leaves
+the qubit in |0>).
 
 ``sample_counts`` histograms many shots by shot branching: one depth-first
 walk carries a branch and its shot count, splits the count with one
@@ -104,22 +107,22 @@ def apply_gate(amps: np.ndarray, gate: np.ndarray, targets, num_qubits: int) -> 
     return np.ascontiguousarray(out).reshape(amps.shape)
 
 
-def _one_probability(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, float]:
-    """Bit `qubit` of every basis index, and the probability that it reads 1."""
-    mask = (np.arange(amps.size) >> qubit) & 1
-    return mask, float(np.sum(np.abs(amps[mask == 1]) ** 2))
+def _one_probability(amps: np.ndarray, qubit: int) -> float:
+    """The probability that `qubit` reads 1: the squared norm of its bit-1 half."""
+    return float(np.sum(np.abs(amps.reshape(-1, 2, 2 ** qubit)[:, 1, :]) ** 2))
 
 
-def _collapse(amps: np.ndarray, mask: np.ndarray, outcome: int, prob: float) -> np.ndarray:
-    """Project onto the basis states whose `mask` bit equals `outcome`, renormalized."""
-    post = np.where(mask == outcome, amps, 0.0)
-    return post / np.sqrt(prob)
+def _collapse(amps: np.ndarray, qubit: int, outcome: int, prob: float) -> np.ndarray:
+    """Project onto the basis states where `qubit` reads `outcome`, renormalized."""
+    post = amps / np.sqrt(prob)
+    post.reshape(-1, 2, 2 ** qubit)[:, 1 - outcome, :] = 0.0
+    return post
 
 
 def _measure_bit(amps: np.ndarray, qubit: int,
                  rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
     """Sample qubit's Z outcome, collapse and renormalize. Returns (j, p_j, amps)."""
-    mask, p1 = _one_probability(amps, qubit)
+    p1 = _one_probability(amps, qubit)
     p0 = 1.0 - p1
     if p0 < ZERO_PROB:
         outcome = 1
@@ -128,7 +131,7 @@ def _measure_bit(amps: np.ndarray, qubit: int,
     else:
         outcome = 1 if rng.random() >= p0 else 0
     prob = p1 if outcome == 1 else p0
-    return outcome, prob, _collapse(amps, mask, outcome, prob)
+    return outcome, prob, _collapse(amps, qubit, outcome, prob)
 
 
 def apply_circuit(circuit: Circuit, initial: StateVector | None = None, seed: int = 0,
@@ -167,14 +170,14 @@ def apply_circuit(circuit: Circuit, initial: StateVector | None = None, seed: in
     return StateVector(amps), records
 
 
-def _branch(amps: np.ndarray, mask: np.ndarray, outcome: int, prob: float,
-            inst: Instruction, num_qubits: int) -> np.ndarray:
+def _branch(amps: np.ndarray, outcome: int, prob: float, inst: Instruction,
+            num_qubits: int) -> np.ndarray:
     """The branch of MEASURE or RESET `inst` that read `outcome` (probability `prob`).
 
     The collapsed state goes through ``StateVector``, so a non-finite or
     unnormalized branch raises; RESET then flips an outcome-1 branch to |0>.
     """
-    amps = StateVector(_collapse(amps, mask, outcome, prob)).amplitudes
+    amps = StateVector(_collapse(amps, inst.qubits[0], outcome, prob)).amplitudes
     if inst.gate == "RESET" and outcome == 1:
         amps = apply_gate(amps, gates.X, inst.qubits, num_qubits)
     return amps
@@ -192,8 +195,8 @@ def _replay(prefix: list[Instruction], outcomes: tuple[int, ...],
     for inst in prefix:
         if inst.gate in gates.MARKERS:
             outcome = next(forced)
-            mask, p1 = _one_probability(amps, inst.qubits[0])
-            amps = _branch(amps, mask, outcome, p1 if outcome else 1.0 - p1, inst, num_qubits)
+            p1 = _one_probability(amps, inst.qubits[0])
+            amps = _branch(amps, outcome, p1 if outcome else 1.0 - p1, inst, num_qubits)
         else:
             matrix = gates.gate_matrix(inst.gate, inst.angle)
             amps = apply_gate(amps, matrix, inst.qubits, num_qubits)
@@ -266,19 +269,19 @@ def sample_counts(circuit: Circuit, shots: int,
                 matrix = gates.gate_matrix(inst.gate, inst.angle)
                 amps = apply_gate(amps, matrix, inst.qubits, n)
                 continue
-            mask, p1 = _one_probability(amps, inst.qubits[0])
+            p1 = _one_probability(amps, inst.qubits[0])
             p0 = 1.0 - p1
             ones = k if p0 < ZERO_PROB else 0 if p1 < ZERO_PROB else int(rng.binomial(k, p1))
             if 0 < ones < k:
                 sibling = None
                 if pending_bytes + amps.nbytes <= MAX_PENDING_BYTES:
-                    sibling = _branch(amps, mask, 1, p1, inst, n)
+                    sibling = _branch(amps, 1, p1, inst, n)
                     pending_bytes += sibling.nbytes
                 stack.append((i + 1, ones, outcomes + (1,), sibling))
                 k, outcome = k - ones, 0
             else:
                 outcome = 1 if ones else 0
-            amps = _branch(amps, mask, outcome, p1 if outcome else p0, inst, n)
+            amps = _branch(amps, outcome, p1 if outcome else p0, inst, n)
             outcomes += (outcome,)
         record = "".join(str(bit) for bit, kept in zip(outcomes, recorded) if kept)
         for bits, count in _draw_suffix(StateVector(amps), suffix, k, rng).items():
@@ -299,8 +302,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         if inst.gate in gates.MARKERS:
             raise ValueError(f"{inst.gate} has no unitary representation")
         matrix = gates.gate_matrix(inst.gate, inst.angle)
-        if not is_unitary(matrix):
-            raise ValueError("gate matrix is not unitary")
         full = apply_gate(full, matrix, inst.qubits, n)
     return full
 

@@ -163,6 +163,30 @@ def all_simple_paths(graph: ConnectivityGraph, a: int, b: int) -> list[list[int]
     return paths
 
 
+def oracle_place_inputs(input_amps: np.ndarray, inputs, num_qubits: int) -> np.ndarray:
+    """Register with input qubit j on qubit inputs[j] and |+> elsewhere, index by index."""
+    scale = 2.0 ** (-(num_qubits - len(inputs)) / 2)
+    amps = np.empty(2 ** num_qubits, dtype=complex)
+    for index in range(2 ** num_qubits):
+        local = 0
+        for j, pos in enumerate(inputs):
+            local |= ((index >> pos) & 1) << j
+        amps[index] = input_amps[local] * scale
+    return amps
+
+
+def oracle_reorder(amps: np.ndarray, live, outputs) -> np.ndarray:
+    """Relabel a register holding qubits `live` (in order) so qubit j is outputs[j]."""
+    position = {q: i for i, q in enumerate(live)}
+    reordered = np.empty(amps.size, dtype=complex)
+    for index in range(amps.size):
+        target = 0
+        for j, q in enumerate(outputs):
+            target |= ((index >> position[q]) & 1) << j
+        reordered[target] = amps[index]
+    return reordered
+
+
 def binomial_walk_distribution(steps: int) -> dict[int, float]:
     """Closed-form symmetric +/-1 random walk distribution after `steps`."""
     return {2 * k - steps: math.comb(steps, k) / 2 ** steps for k in range(steps + 1)}

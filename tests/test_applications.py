@@ -7,10 +7,11 @@ import pytest
 
 import aqmkit as aq
 from aqmkit import gates
-from aqmkit.annealing import MAX_SPINS, _energy, _step_unitary, build_annealing_hamiltonian
+from aqmkit.annealing import (MAX_ANNEAL_STEPS, MAX_SPINS, _energy, _step_unitary,
+                              build_annealing_hamiltonian)
 from aqmkit.graphs import ConnectivityGraph
 from aqmkit.simulate import embed_gate
-from oracles import kron_embed, random_state
+from oracles import kron_embed, oracle_place_inputs, oracle_reorder, random_state
 
 
 def fine_step_anneal(problem, t_final, num_steps=50000):
@@ -156,6 +157,14 @@ class TestAnneal:
     def test_schedule_endpoint_validation(self):
         with pytest.raises(ValueError, match="endpoints"):
             aq.AnnealSchedule(1.0, 10, lambda t: 0.5, lambda t: t)
+
+    def test_schedule_step_cap(self):
+        def refuse(t):
+            raise AssertionError("evaluated the schedule past the step cap")
+
+        assert aq.AnnealSchedule(1.0, MAX_ANNEAL_STEPS).num_steps == MAX_ANNEAL_STEPS
+        with pytest.raises(ValueError, match=str(MAX_ANNEAL_STEPS)):
+            aq.AnnealSchedule(1.0, MAX_ANNEAL_STEPS + 1, refuse, refuse)
 
     def test_schedule_monotonicity_validation(self):
         bump = lambda t: 1 - t + 4 * t * (1 - t)  # noqa: E731 (exact endpoints, not monotone)
@@ -343,6 +352,39 @@ class TestMbqc:
                    for branch in product((0, 1), repeat=4)]
         for other in outputs[1:]:
             assert aq.fidelity(outputs[0], other) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("nodes, inputs, outputs", [
+        (3, (2, 0, 1), (1, 2, 0)),
+        (3, (1, 2, 0), (1, 2, 0)),
+        (4, (3, 1), (2, 0, 3, 1)),
+        (5, (4, 0, 2), (1, 3, 0, 4, 2)),
+    ])
+    def test_unsorted_inputs_and_outputs_match_index_loop(self, nodes, inputs, outputs):
+        # With no edges and no measurements a pattern only relabels: the input
+        # rides on `inputs`, |+> fills the rest, and the result is read in
+        # `outputs` order. The loops in oracles.py do each step index by index.
+        rng = np.random.default_rng(74)
+        pattern = aq.MeasurementPattern(ConnectivityGraph.from_edges(nodes, []), (),
+                                        outputs=outputs, inputs=inputs)
+        psi = aq.StateVector(random_state(rng, len(inputs)))
+        register = oracle_place_inputs(psi.amplitudes, inputs, nodes)
+        expected = oracle_reorder(register, list(range(nodes)), outputs)
+        result = aq.mbqc_execute(pattern, psi)
+        assert np.array_equal(result.output_state.amplitudes, expected)
+
+    def test_outputs_reordered_after_measurement(self):
+        # Qubit 1 starts in |+> and is measured in the X basis, so outcome 0 is
+        # certain and leaves the other qubits as they were, in live order 0, 2, 3.
+        rng = np.random.default_rng(75)
+        inputs, outputs = (3, 0), (2, 3, 0)
+        pattern = aq.MeasurementPattern(ConnectivityGraph.from_edges(4, []),
+                                        (aq.PatternStep(1, 0.0),), outputs=outputs,
+                                        inputs=inputs)
+        psi = aq.StateVector(random_state(rng, 2))
+        survivors = oracle_place_inputs(psi.amplitudes, (2, 0), 3)
+        expected = oracle_reorder(survivors, [0, 2, 3], outputs)
+        result = aq.mbqc_execute(pattern, psi, forced_outcomes=[0])
+        assert np.allclose(result.output_state.amplitudes, expected, rtol=0, atol=1e-12)
 
     def test_sampled_execution_deterministic_per_seed(self):
         pattern = aq.euler_rotation_pattern(0.3, 0.5, 0.7)

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from aqmkit import cli, simulate
+from aqmkit.annealing import MAX_ANNEAL_STEPS
 from aqmkit.cli import MAX_SHOTS, main
 from aqmkit.mbqc import MAX_PATTERN_NODES, parse_pattern
 from aqmkit.walk import MAX_WALK_STEPS, WalkSpec, walk_run
@@ -450,6 +451,16 @@ class TestOtherCommands:
     def test_anneal_bad_steps_is_usage_error(self, problem_path):
         code, _, _ = run_cli("anneal", "--problem", problem_path, "--steps", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("steps", [MAX_ANNEAL_STEPS + 1, 10 ** 11])
+    def test_anneal_steps_cap_rejects_before_annealing(self, problem_path, monkeypatch, steps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("annealed past the step cap")
+
+        monkeypatch.setattr(cli, "anneal", refuse)
+        code, out, err = run_cli("anneal", "--problem", problem_path, "--steps", str(steps))
+        assert_one_error_line(code, out, err)
+        assert str(MAX_ANNEAL_STEPS) in err
 
     @pytest.mark.parametrize("body", [
         "5",

@@ -241,6 +241,18 @@ class TestDilation:
                 if direct_post is not None:
                     assert aq.fidelity(direct_post, synth_post) >= 1 - 1e-9
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_completion_keeps_isometry_columns(self, num_qubits):
+        rng = np.random.default_rng(44 + num_qubits)
+        dim = 2 ** num_qubits
+        for k in range(1, 9):
+            ops = random_measurement_set(rng, num_qubits, k)
+            dilated = aq.synthesize_measurement(aq.MeasurementOperatorSet(num_qubits, tuple(ops)))
+            assert aq.is_unitary(dilated.unitary)
+            isometry = np.zeros((dilated.unitary.shape[0], dim), dtype=complex)
+            isometry[:k * dim] = np.vstack(ops)
+            assert np.array_equal(dilated.unitary[:, :dim], isometry)
+
     def test_run_matches_apply_measurement_stream(self):
         from test_measure import trine_set
         dilated = aq.synthesize_measurement(trine_set())
