@@ -35,15 +35,16 @@ class Instruction:
 
     def __post_init__(self):
         name = self.gate.upper()
+        qubits = tuple(map(int, self.qubits))
         object.__setattr__(self, "gate", name)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if name not in GATE_ARITY:
-            raise CircuitError(f"unknown gate {self.gate!r}")
-        arity = GATE_ARITY[name]
-        if len(self.qubits) != arity:
-            raise CircuitError(f"{name} takes {arity} operand(s), got {len(self.qubits)}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"{name} operands must be pairwise distinct: {self.qubits}")
+        object.__setattr__(self, "qubits", qubits)
+        arity = GATE_ARITY.get(name)
+        if arity is None:
+            raise CircuitError(f"unknown gate {name!r}")
+        if len(qubits) != arity:
+            raise CircuitError(f"{name} takes {arity} operand(s), got {len(qubits)}")
+        if arity > 1 and len(set(qubits)) != arity:
+            raise CircuitError(f"{name} operands must be pairwise distinct: {qubits}")
         if name in ROTATION_GATES:
             if self.angle is None:
                 raise CircuitError(f"{name} requires an angle")

@@ -35,24 +35,25 @@ class DilatedMeasurement:
     num_ancillas: int
     outcome_map: dict[int, int]
 
-    def _joint_branches(self, state: StateVector) -> np.ndarray:
+    def _outcome_rows(self, state: StateVector) -> list[np.ndarray]:
+        """The unnormalized branch of each outcome, in outcome order."""
         if state.num_qubits != self.num_system_qubits:
             raise ValueError("state qubit count does not match the measurement")
         dim = 2 ** self.num_system_qubits
         joint = np.zeros(self.unitary.shape[0], dtype=complex)
         joint[:dim] = state.amplitudes  # ancillas initialized to |0...0>
         joint = self.unitary @ joint
-        return joint.reshape(-1, dim)  # row k = unnormalized branch of ancilla value k
+        rows = joint.reshape(-1, dim)  # row k = unnormalized branch of ancilla value k
+        return [rows[k] for k in sorted(self.outcome_map)]
 
     def branches(self, state: StateVector) -> list[tuple[float, StateVector | None]]:
         """All K outcome probabilities and post-states, deterministically."""
-        rows = self._joint_branches(state)
-        return normalized_branches(rows[k] for k in sorted(self.outcome_map))
+        return normalized_branches(self._outcome_rows(state))
 
     def run(self, state: StateVector, seed: int = 0,
             rng: np.random.Generator | None = None) -> MeasurementRecord:
         """Apply the dilation unitary and read the ancillas projectively."""
-        choice, prob, post = draw_branch(self.branches(state), seed, rng)
+        choice, prob, post = draw_branch(self._outcome_rows(state), seed, rng)
         return MeasurementRecord(self.outcome_map[choice], prob, post)
 
 

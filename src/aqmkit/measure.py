@@ -61,13 +61,28 @@ def validate_measurement_set(mset: MeasurementOperatorSet) -> CompletenessCheck:
     return CompletenessCheck(deviation <= COMPLETENESS_TOL, deviation)
 
 
+def _probability(row: np.ndarray) -> float:
+    """Outcome probability of an unnormalized branch: its squared norm."""
+    return float(np.real(np.vdot(row, row)))
+
+
 def normalized_branches(rows) -> list[tuple[float, StateVector | None]]:
     """(probability, post-state) of each unnormalized branch; None below ZERO_PROB."""
     branches: list[tuple[float, StateVector | None]] = []
     for row in rows:
-        prob = float(np.real(np.vdot(row, row)))
+        prob = _probability(row)
         branches.append((prob, None if prob < ZERO_PROB else StateVector(row / np.sqrt(prob))))
     return branches
+
+
+def _branch_rows(mset: MeasurementOperatorSet, state: StateVector) -> list[np.ndarray]:
+    """The unnormalized branches m_k|psi>, after checking completeness and size."""
+    check = validate_measurement_set(mset)
+    if not check.ok:
+        raise ValueError(f"measurement set is not complete (deviation {check.max_deviation:.3e})")
+    if state.num_qubits != mset.num_qubits:
+        raise ValueError("state and measurement set qubit counts differ")
+    return [op @ state.amplitudes for op in mset.operators]
 
 
 def measurement_branches(mset: MeasurementOperatorSet, state: StateVector,
@@ -77,23 +92,19 @@ def measurement_branches(mset: MeasurementOperatorSet, state: StateVector,
     Post-states of branches with probability below the sampling cutoff are
     returned as None (the renormalization would divide by ~0).
     """
-    check = validate_measurement_set(mset)
-    if not check.ok:
-        raise ValueError(f"measurement set is not complete (deviation {check.max_deviation:.3e})")
-    if state.num_qubits != mset.num_qubits:
-        raise ValueError("state and measurement set qubit counts differ")
-    return normalized_branches(op @ state.amplitudes for op in mset.operators)
+    return normalized_branches(_branch_rows(mset, state))
 
 
-def draw_branch(branches: list[tuple[float, StateVector | None]], seed: int = 0,
+def draw_branch(rows: list[np.ndarray], seed: int = 0,
                 rng: np.random.Generator | None = None,
                 ) -> tuple[int, float, StateVector]:
-    """Sample one of `branches` by probability: (index, probability, post-state).
+    """Sample one unnormalized branch by probability: (index, probability, post-state).
 
     Branches below ZERO_PROB are never drawn. One ``rng.random()`` per draw,
-    scaled to the live probability mass and walked along its cumulative sum.
+    scaled to the live probability mass and walked along its cumulative sum;
+    only the drawn branch is normalized into a ``StateVector``.
     """
-    probs = np.array([p for p, _ in branches])
+    probs = np.array([_probability(row) for row in rows])
     live = np.flatnonzero(probs >= ZERO_PROB)
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -105,9 +116,8 @@ def draw_branch(branches: list[tuple[float, StateVector | None]], seed: int = 0,
         if r < cumulative:
             index = int(k)
             break
-    prob, post = branches[index]
-    assert post is not None
-    return index, prob, post
+    prob = float(probs[index])
+    return index, prob, StateVector(rows[index] / np.sqrt(prob))
 
 
 def apply_measurement(mset: MeasurementOperatorSet, state: StateVector, seed: int = 0,
@@ -116,7 +126,7 @@ def apply_measurement(mset: MeasurementOperatorSet, state: StateVector, seed: in
 
     Zero-probability branches are never sampled.
     """
-    return MeasurementRecord(*draw_branch(measurement_branches(mset, state), seed, rng))
+    return MeasurementRecord(*draw_branch(_branch_rows(mset, state), seed, rng))
 
 
 def initialization_set(target: StateVector) -> MeasurementOperatorSet:

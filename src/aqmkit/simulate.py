@@ -1,10 +1,12 @@
 """Dense state-vector execution of circuits.
 
-Gates are applied by tensor contraction on the reshaped amplitude array,
-which ``circuit_unitary`` also uses, treating the identity's columns as a
-batch; ``embed_gate`` builds the explicit 2^n-dimensional operator when a
-dense matrix is wanted (oracles, routing checks). Gate matrices are unitary by
-construction (a read-only table, finite angles) and are not re-checked.
+``apply_gate`` is the one kernel that applies a gate: it transposes the
+target qubits' axes of the reshaped amplitude array to the front and
+multiplies them by the gate in one matrix product. ``circuit_unitary`` also
+uses it, treating the identity's columns as a batch; ``embed_gate`` builds
+the explicit 2^n-dimensional operator when a dense matrix is wanted (oracles,
+routing checks). Gate matrices are unitary by construction (a read-only
+table, finite angles) and are not re-checked.
 MEASURE samples a computational basis outcome for one qubit with the seeded
 generator and collapses the state, reading and zeroing the qubit's halves
 through the strided view ``amps.reshape(-1, 2, 2**q)``; RESET performs
@@ -89,22 +91,39 @@ def apply_gate(amps: np.ndarray, gate: np.ndarray, targets, num_qubits: int) -> 
     """Apply a 2^k gate to the amplitude array without building the full matrix.
 
     `amps` has shape (2^n,) or (2^n, *batch): trailing axes are a batch, so
-    one call applies the gate to every column of a (2^n, m) block.
+    one call applies the gate to every column of a (2^n, m) block. Gate-local
+    qubit j acts on targets[j]. The result is a new C-contiguous array of
+    `amps`'s shape.
+
+    One transpose and one matrix product: axis a of the (2,)*n + batch view
+    holds qubit n-1-a, so the target axes go to the front (targets[0] most
+    significant), the view becomes a (2^k, rest) matrix, the gate multiplies
+    it, and the product is transposed back.
     """
-    targets = list(targets)
-    k = len(targets)
+    front = []
     for t in targets:
         # A negative axis would silently land on another qubit or a batch axis.
         if not 0 <= t < num_qubits:
             raise ValueError(f"target {t} out of range for {num_qubits} qubit(s)")
+        front.append(num_qubits - 1 - t)
+    k = len(front)
+    gate = np.asarray(gate, dtype=complex)
+    if k > 1:
+        # Order the input bits like the view's rows (gate qubit 0 most
+        # significant). Each output then sums its products in the order
+        # np.tensordot does, which the tests hold as the bit-identity reference.
+        gate = gate.reshape((2,) * (2 * k)).transpose(
+            [*range(k), *range(2 * k - 1, k - 1, -1)]).reshape(2 ** k, 2 ** k)
     tensor = amps.reshape((2,) * num_qubits + amps.shape[1:])
-    gate_t = np.asarray(gate, dtype=complex).reshape((2,) * (2 * k))
-    in_axes = [2 * k - 1 - j for j in range(k)]
-    state_axes = [num_qubits - 1 - t for t in targets]
-    out = np.tensordot(gate_t, tensor, axes=(in_axes, state_axes))
-    # tensordot put the gate's output axes first (gate qubit k-1 .. 0).
-    out = np.moveaxis(out, [k - 1 - j for j in range(k)], state_axes)
-    return np.ascontiguousarray(out).reshape(amps.shape)
+    rest = [a for a in range(tensor.ndim) if a not in front]
+    # The transposed copy is left unnamed, so it is freed before the copy back
+    # is made. Every qubit axis has length 2, so the product has the tensor's
+    # shape; its first k axes are the gate's output bits, gate qubit k-1 first.
+    out = (gate @ tensor.transpose(front + rest).reshape(2 ** k, -1)).reshape(tensor.shape)
+    back = [0] * tensor.ndim
+    for i, a in enumerate(front[::-1] + rest):
+        back[a] = i
+    return out.transpose(back).reshape(amps.shape)
 
 
 def _one_probability(amps: np.ndarray, qubit: int) -> float:

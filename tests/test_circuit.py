@@ -43,6 +43,32 @@ class TestInstructionValidation:
         c = aq.Circuit(1).add("h", 0).add("rz", 0, angle=0.25)
         assert [i.gate for i in c.instructions] == ["H", "RZ"]
 
+    @pytest.mark.parametrize("gate, qubits, angle, message", [
+        ("foo", (0, 0), 0.5, "unknown gate 'FOO'"),
+        ("CNOT", (0,), 0.5, "CNOT takes 2 operand(s), got 1"),
+        ("H", (0, 1), None, "H takes 1 operand(s), got 2"),
+        ("ccx", (2, 0, 2), 0.5, "CCX operands must be pairwise distinct: (2, 0, 2)"),
+        ("RZ", (0,), None, "RZ requires an angle"),
+        ("RY", (1,), float("nan"), "RY angle must be finite, got nan"),
+        ("RX", (0,), float("-inf"), "RX angle must be finite, got -inf"),
+        ("H", (0,), 0.5, "H takes no angle"),
+        ("MEASURE", (0,), 0.0, "MEASURE takes no angle"),
+    ])
+    def test_error_messages_and_their_order(self, gate, qubits, angle, message):
+        # Each case that breaks two rules pins which check runs first.
+        with pytest.raises(aq.CircuitError) as caught:
+            aq.Instruction(gate, qubits, angle)
+        assert str(caught.value) == message
+
+    def test_name_and_operands_normalized(self):
+        inst = aq.Instruction("cnot", (np.int64(1), np.int32(0)))
+        assert inst.gate == "CNOT"
+        assert inst.qubits == (1, 0)
+        assert all(type(q) is int for q in inst.qubits)
+        rotation = aq.Instruction("rz", [np.uint8(2)], np.float32(0.5))
+        assert (rotation.gate, rotation.qubits, rotation.angle) == ("RZ", (2,), 0.5)
+        assert type(rotation.qubits[0]) is int and type(rotation.angle) is float
+
 
 class TestTextFormat:
     def test_parse_basic(self):

@@ -90,6 +90,80 @@ class TestEmbedGate:
             aq.embed_gate(gates.CNOT, [1, 1], 2)
 
 
+def _tensordot_apply_gate(amps, gate, targets, num_qubits):
+    """The tensordot kernel apply_gate replaced, kept verbatim.
+
+    It is the bit-identity reference: apply_gate sums the same products in
+    the same order, so the two must agree exactly. It is not an independent
+    oracle; kron_embed is.
+    """
+    targets = list(targets)
+    k = len(targets)
+    tensor = amps.reshape((2,) * num_qubits + amps.shape[1:])
+    gate_t = np.asarray(gate, dtype=complex).reshape((2,) * (2 * k))
+    in_axes = [2 * k - 1 - j for j in range(k)]
+    state_axes = [num_qubits - 1 - t for t in targets]
+    out = np.tensordot(gate_t, tensor, axes=(in_axes, state_axes))
+    # tensordot put the gate's output axes first (gate qubit k-1 .. 0).
+    out = np.moveaxis(out, [k - 1 - j for j in range(k)], state_axes)
+    return np.ascontiguousarray(out).reshape(amps.shape)
+
+
+def _random_amps(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestApplyGate:
+    @staticmethod
+    def _cases(rng, max_qubits):
+        """(n, gate, unsorted targets, amps) over 1-D and batched registers."""
+        for n in range(1, max_qubits + 1):
+            for k in range(1, min(n, 3) + 1):
+                for batch in ((), (int(rng.integers(1, 6)),),
+                              (int(rng.integers(1, 4)), int(rng.integers(1, 4)))):
+                    targets = [int(q) for q in rng.choice(n, size=k, replace=False)]
+                    yield n, haar_unitary(rng, 2 ** k), targets, \
+                        _random_amps(rng, (2 ** n,) + batch)
+
+    def test_bit_identical_to_tensordot_kernel(self):
+        rng = np.random.default_rng(91)
+        for _ in range(3):
+            for n, gate, targets, amps in self._cases(rng, 12):
+                mine = apply_gate(amps, gate, targets, n)
+                assert np.array_equal(mine, _tensordot_apply_gate(amps, gate, targets, n)), \
+                    (n, targets, amps.shape)
+
+    def test_matches_kron_oracle(self):
+        rng = np.random.default_rng(92)
+        for n, gate, targets, amps in self._cases(rng, 7):
+            full = kron_embed(gate, targets, n)
+            expected = (full @ amps.reshape(2 ** n, -1)).reshape(amps.shape)
+            assert np.max(np.abs(apply_gate(amps, gate, targets, n) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("n, targets", [(1, [0]), (4, [3]), (4, [0]), (4, [2, 0, 3]),
+                                            (3, [2, 1, 0])])
+    def test_result_is_fresh_and_contiguous(self, n, targets):
+        # [n-1] alone leaves every axis in place, so no transpose copies there.
+        rng = np.random.default_rng(93)
+        gate = haar_unitary(rng, 2 ** len(targets))
+        block = _random_amps(rng, (2 ** n, 3))
+        for amps in (block, block[:, 1], block[:, :2], np.asfortranarray(block)):
+            before = amps.copy()
+            out = apply_gate(amps, gate, targets, n)
+            assert out.shape == amps.shape
+            assert out.flags.c_contiguous
+            assert not np.shares_memory(out, amps)
+            assert np.array_equal(amps, before)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_target_out_of_range(self, bad):
+        amps = aq.basis_state(3, 0).amplitudes
+        with pytest.raises(ValueError, match="out of range"):
+            apply_gate(amps, gates.H, [bad], 3)
+        with pytest.raises(ValueError, match="out of range"):
+            apply_gate(amps, gates.CNOT, [0, bad], 3)
+
+
 class TestCircuitUnitary:
     """circuit_unitary contracts each gate into the identity with apply_gate."""
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import aqmkit as aq
+from aqmkit import measure
 from oracles import random_measurement_set, random_state
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -113,6 +114,31 @@ class TestApplication:
                           [2, 0, 5, 1, 2, 5]]
         assert dilated == [[0, 1, 1, 0, 0, 0], [2, 4, 0, 0, 2, 0], [0, 0, 0, 0, 1, 0],
                            [3, 5, 5, 5, 0, 3]]
+
+    def test_one_post_state_built_per_draw(self, monkeypatch):
+        # Only the drawn branch is normalized; it equals that branch of the
+        # deterministic variants bit for bit.
+        rng = np.random.default_rng(8)
+        mset = aq.MeasurementOperatorSet(2, tuple(random_measurement_set(rng, 2, 8)))
+        psi = aq.StateVector(random_state(rng, 2))
+        dilation = aq.synthesize_measurement(mset)
+        built = []
+
+        class CountingStateVector(aq.StateVector):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(measure, "StateVector", CountingStateVector)
+        for draw, branches in ((lambda: aq.apply_measurement(mset, psi, seed=3),
+                                aq.measurement_branches(mset, psi)),
+                               (lambda: dilation.run(psi, seed=3), dilation.branches(psi))):
+            built.clear()
+            record = draw()
+            assert len(built) == 1
+            prob, post = branches[record.outcome_index]
+            assert record.probability == prob
+            assert np.array_equal(record.post_state.amplitudes, post.amplitudes)
 
 
 class TestInitializeViaMeasurement:
