@@ -2,7 +2,8 @@
 
 A pattern names a graph, an ordered list of single-qubit measurements in
 X-Y-plane bases {(|0> +/- e^{i theta'}|1>)/sqrt(2)}, the output qubits, and
-byproduct rules. Earlier outcomes may flip the sign of later angles
+byproduct rules. Each edge's CZ is an in-place sign flip of the amplitudes
+with both its bits 1. Earlier outcomes may flip the sign of later angles
 (theta' = (-1)^(sum of referenced outcomes) * theta); after all measurements
 the accumulated X/Z byproducts are applied to the outputs so deterministic
 patterns give outcome-independent results.
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
+from .annealing import _integer
 from .graphs import ConnectivityGraph
 from .simulate import MAX_SIM_QUBITS, apply_gate
 from .state import StateVector
@@ -59,6 +61,8 @@ class MeasurementPattern:
 
     def __post_init__(self):
         n = self.graph.num_qubits
+        if not self.outputs:
+            raise ValueError("a pattern needs at least one output qubit")
         measured = [step.qubit for step in self.steps]
         for q in list(measured) + list(self.outputs) + list(self.inputs):
             if not 0 <= q < n:
@@ -93,12 +97,21 @@ class MbqcResult:
     byproduct: dict[int, tuple[int, int]]  # output qubit -> (x power, z power)
 
 
+def _entangle(amps: np.ndarray, edges, n: int) -> None:
+    """CZ on every edge (a < b) of a register this module made: commuting sign flips.
+
+    ``0.0 - x`` keeps the imaginary +0.0 the CZ matrix product writes; ``-x`` would not.
+    """
+    for a, b in edges:
+        view = amps.reshape(2 ** (n - 1 - b), 2, 2 ** (b - a - 1), 2, 2 ** a)[:, 1, :, 1, :]
+        np.subtract(0.0, view, out=view)
+
+
 def build_cluster_state(graph: ConnectivityGraph) -> StateVector:
-    """All qubits in |+>, then CZ on every edge (edge order is irrelevant)."""
+    """All qubits in |+>, then CZ on every edge as in-place sign flips."""
     n = graph.num_qubits
     amps = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
-    for a, b in sorted(graph.edges):
-        amps = apply_gate(amps, gates.CZ, [a, b], n)
+    _entangle(amps, graph.edges, n)
     return StateVector(amps)
 
 
@@ -149,8 +162,7 @@ def mbqc_execute(pattern: MeasurementPattern, input_state: StateVector | None = 
         rng = np.random.Generator(np.random.PCG64(seed))
     n = pattern.graph.num_qubits
     amps = _initial_register(pattern, input_state)
-    for a, b in sorted(pattern.graph.edges):
-        amps = apply_gate(amps, gates.CZ, [a, b], n)
+    _entangle(amps, pattern.graph.edges, n)
 
     live = list(range(n))  # little-endian register order of surviving qubits
     outcomes: dict[int, int] = {}
@@ -263,17 +275,21 @@ def parse_pattern(text: str) -> MeasurementPattern:
     try:
         return _pattern_from_fields(data)
     except (TypeError, OverflowError) as exc:
-        # A field of the wrong JSON type (null, a number for a list, Infinity
-        # for a count) fails inside the conversions of _pattern_from_fields.
+        # A field of the wrong JSON type (null or a number for a list, an
+        # integer too large for a float angle) fails inside the conversions.
         raise ValueError(f"malformed pattern field: {exc}") from None
 
 
+def _qubits(values, field: str) -> tuple[int, ...]:
+    return tuple(_integer(q, f"{field} qubit") for q in values)
+
+
 def _pattern_from_fields(data: dict) -> MeasurementPattern:
-    nodes = int(data["nodes"])
+    nodes = _integer(data["nodes"], "'nodes'")
     if nodes > MAX_PATTERN_NODES:
         raise ValueError(f"pattern has {nodes} nodes; at most {MAX_PATTERN_NODES} are supported")
-    graph = ConnectivityGraph.from_edges(nodes, data["edges"])
-    order = [int(q) for q in data["order"]]
+    graph = ConnectivityGraph.from_edges(nodes, [_qubits(e, "'edges'") for e in data["edges"]])
+    order = _qubits(data["order"], "'order'")
     angles = [float(a) for a in data["angles"]]
     if len(order) != len(angles):
         raise ValueError("order and angles must have the same length")
@@ -284,10 +300,11 @@ def _pattern_from_fields(data: dict) -> MeasurementPattern:
         PatternStep(qubit, angle, _parse_adaptivity(expr))
         for qubit, angle, expr in zip(order, angles, adaptivity))
     byproducts = tuple(
-        ByproductRule(rule["type"], int(rule["qubit"]), tuple(int(d) for d in rule["deps"]))
+        ByproductRule(rule["type"], _integer(rule["qubit"], "byproduct 'qubit'"),
+                      _qubits(rule["deps"], "byproduct 'deps'"))
         for rule in data.get("byproducts", []))
     return MeasurementPattern(
         graph, steps,
-        outputs=tuple(int(q) for q in data["outputs"]),
-        inputs=tuple(int(q) for q in data.get("inputs", [])),
+        outputs=_qubits(data["outputs"], "'outputs'"),
+        inputs=_qubits(data.get("inputs", []), "'inputs'"),
         byproducts=byproducts)

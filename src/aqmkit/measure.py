@@ -7,7 +7,7 @@ and leaves the state m_k|psi> / sqrt(p_k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,14 @@ class CompletenessCheck:
 
 @dataclass(frozen=True)
 class MeasurementOperatorSet:
-    """Ordered operators m_1..m_K over a fixed qubit count (K >= 1, any K)."""
+    """Ordered operators m_1..m_K over a fixed qubit count (K >= 1, any K).
+
+    `completeness` is checked once here: the operators are read-only copies.
+    """
 
     num_qubits: int
     operators: tuple[np.ndarray, ...]
+    completeness: CompletenessCheck = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -47,6 +51,10 @@ class MeasurementOperatorSet:
             op.setflags(write=False)
             ops.append(op)
         object.__setattr__(self, "operators", tuple(ops))
+        total = sum(op.conj().T @ op for op in ops)
+        deviation = float(np.max(np.abs(total - np.eye(dim))))
+        object.__setattr__(self, "completeness",
+                           CompletenessCheck(deviation <= COMPLETENESS_TOL, deviation))
 
     @property
     def num_outcomes(self) -> int:
@@ -55,10 +63,7 @@ class MeasurementOperatorSet:
 
 def validate_measurement_set(mset: MeasurementOperatorSet) -> CompletenessCheck:
     """Check sum_k m_k^dag m_k = I; reports the max entrywise deviation."""
-    dim = 2 ** mset.num_qubits
-    total = sum(op.conj().T @ op for op in mset.operators)
-    deviation = float(np.max(np.abs(total - np.eye(dim))))
-    return CompletenessCheck(deviation <= COMPLETENESS_TOL, deviation)
+    return mset.completeness
 
 
 def _probability(row: np.ndarray) -> float:
@@ -77,7 +82,7 @@ def normalized_branches(rows) -> list[tuple[float, StateVector | None]]:
 
 def _branch_rows(mset: MeasurementOperatorSet, state: StateVector) -> list[np.ndarray]:
     """The unnormalized branches m_k|psi>, after checking completeness and size."""
-    check = validate_measurement_set(mset)
+    check = mset.completeness
     if not check.ok:
         raise ValueError(f"measurement set is not complete (deviation {check.max_deviation:.3e})")
     if state.num_qubits != mset.num_qubits:

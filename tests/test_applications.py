@@ -1,16 +1,21 @@
 """Annealing, quantum walk, and MBQC engines."""
 
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 import aqmkit as aq
-from aqmkit import gates
+from aqmkit import gates, mbqc
 from aqmkit.annealing import (MAX_ANNEAL_STEPS, MAX_SPINS, _energy, _step_unitary,
                               build_annealing_hamiltonian)
 from aqmkit.graphs import ConnectivityGraph
-from aqmkit.simulate import embed_gate
+from aqmkit.cli import main
+from aqmkit.simulate import apply_gate, embed_gate
 from oracles import kron_embed, oracle_place_inputs, oracle_reorder, random_state
 
 
@@ -308,6 +313,120 @@ class TestClusterState:
                 assert abs(value - 1.0) <= 1e-10
 
 
+def cz_loop(amps, edges, n):
+    """Reference entangler: one apply_gate(CZ) contraction per edge, in sorted order."""
+    for a, b in sorted(edges):
+        amps = apply_gate(amps, gates.CZ, [a, b], n)
+    return amps
+
+
+def run_mbqc_cli(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["mbqc", *argv])
+    return code, out.getvalue()
+
+
+def grid_pattern_json(rng):
+    """4x4 grid: inputs on column 0, outputs on column 3, columns 0-2 measured."""
+    node = lambda r, c: 4 * r + c  # noqa: E731
+    edges = [[node(r, c), node(r, c + 1)] for r in range(4) for c in range(3)]
+    edges += [[node(r, c), node(r + 1, c)] for r in range(3) for c in range(4)]
+    measured = [(r, c) for c in range(3) for r in range(4)]
+    return json.dumps({
+        "nodes": 16, "edges": edges, "order": [node(r, c) for r, c in measured],
+        "angles": [float(a) for a in rng.uniform(-np.pi, np.pi, size=len(measured))],
+        "outputs": [node(r, 3) for r in range(4)], "inputs": [node(r, 0) for r in range(4)],
+        "adaptivity": [None if c == 0 else f"(-1)^s[{node(r, c - 1)}] * theta"
+                       for r, c in measured],
+        "byproducts": [{"type": kind, "qubit": node(r, 3), "deps": [node(r, col)]}
+                       for r in range(4) for kind, col in (("X", 2), ("Z", 1))]})
+
+
+class TestEntangling:
+    def test_sign_flips_match_cz_loop_bytes_on_plus(self):
+        rng = np.random.default_rng(81)
+        graphs = [ConnectivityGraph.grid(4, 4), ConnectivityGraph.complete(6)]
+        for n in range(1, 13):
+            for _ in range(3):
+                graphs.append(ConnectivityGraph.from_edges(
+                    n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                        if rng.random() < 0.4]))
+        for graph in graphs:
+            n = graph.num_qubits
+            plus = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
+            expected = cz_loop(plus, graph.edges, n)
+            assert aq.build_cluster_state(graph).amplitudes.tobytes() == expected.tobytes()
+
+    def test_sign_flips_match_cz_loop_on_inputs_with_zeros(self, monkeypatch):
+        # Every branch of random patterns whose input states hold zero
+        # amplitudes: the executor with the reference entangler patched in
+        # gives the same values (a zero may differ in sign) or the same refusal.
+        def reference(amps, edges, n):
+            amps[:] = cz_loop(amps, edges, n)
+
+        rng = np.random.default_rng(82)
+        for _ in range(12):
+            n = int(rng.integers(2, 7))
+            qubits = [int(q) for q in rng.permutation(n)]
+            num_outputs = int(rng.integers(1, 3))
+            inputs = tuple(qubits[:int(rng.integers(1, 4))])
+            outputs = tuple(qubits[n - num_outputs:])
+            steps = tuple(aq.PatternStep(q, float(rng.uniform(-np.pi, np.pi)))
+                          for q in qubits[:n - num_outputs])
+            graph = ConnectivityGraph.from_edges(
+                n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5])
+            pattern = aq.MeasurementPattern(graph, steps, outputs=outputs, inputs=inputs)
+            amps = random_state(rng, len(inputs))
+            amps[rng.random(amps.size) < 0.5] = 0.0
+            amps[int(rng.integers(amps.size))] = 1.0
+            psi = aq.StateVector(amps / np.linalg.norm(amps))
+            for branch in product((0, 1), repeat=len(steps)):
+                results = []
+                for entangle in (reference, mbqc._entangle):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(mbqc, "_entangle", entangle)
+                        try:
+                            result = aq.mbqc_execute(pattern, psi, forced_outcomes=branch)
+                        except ValueError as exc:
+                            results.append(str(exc))
+                        else:
+                            results.append(result.output_state.amplitudes)
+                if isinstance(results[0], str):
+                    assert results[1] == results[0]
+                else:
+                    assert np.array_equal(results[0], results[1])
+
+    def test_input_state_left_unchanged(self):
+        rng = np.random.default_rng(83)
+        for pattern in (aq.euler_rotation_pattern(0.4, -1.1, 2.2), aq.cnot_pattern()):
+            psi = aq.StateVector(random_state(rng, len(pattern.inputs)))
+            before = psi.amplitudes.tobytes()
+            aq.mbqc_execute(pattern, psi, seed=3)
+            assert psi.amplitudes.tobytes() == before
+
+    def test_twenty_node_line_pattern_runs(self, tmp_path):
+        nodes = 20
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({
+            "nodes": nodes, "edges": [[q, q + 1] for q in range(nodes - 1)],
+            "order": list(range(nodes - 1)), "angles": [0.0] * (nodes - 1),
+            "outputs": [nodes - 1]}))
+        code, out = run_mbqc_cli("--pattern", str(path), "--seed", "1", "--json")
+        assert code == 0 and len(json.loads(out)["output_amplitudes"]) == 2
+
+    def test_seeded_stdout_is_pinned(self, tmp_path):
+        # Prefixes of the sha256 of stdout as the CZ contraction loop printed it.
+        path = tmp_path / "grid.json"
+        path.write_text(grid_pattern_json(np.random.Generator(np.random.PCG64(5))))
+        for argv, prefix in (
+                (["--pattern", str(path)], "4f73837bcbf8f3be"),
+                (["--euler", "0.1", "0.2", "0.3"], "9ce03a6998b4782c")):
+            code, out = run_mbqc_cli(*argv, "--seed", "5", "--json")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
+
+
 class TestMbqc:
     def test_teleport_identity_both_outcomes(self):
         graph = ConnectivityGraph.line(2)
@@ -398,6 +517,11 @@ class TestMbqc:
             aq.MeasurementPattern(
                 graph, (aq.PatternStep(0, 0.0, sign_deps=(1,)), aq.PatternStep(1, 0.0)),
                 outputs=(2,))
+
+    def test_empty_outputs_rejected(self):
+        with pytest.raises(ValueError, match="at least one output qubit"):
+            aq.MeasurementPattern(ConnectivityGraph.line(1), (aq.PatternStep(0, 0.0),),
+                                  outputs=())
 
     def test_order_must_cover_non_outputs(self):
         graph = ConnectivityGraph.line(3)

@@ -441,6 +441,31 @@ class TestOtherCommands:
         assert_one_error_line(code, out, err)
         assert err.startswith("error: cannot load pattern")
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"nodes": 2.7}, "'nodes' must be an integer, got 2.7"),
+        ({"nodes": True}, "'nodes' must be an integer, got True"),
+        ({"edges": [[0, 1.5]]}, "'edges' qubit must be an integer, got 1.5"),
+        ({"order": [False]}, "'order' qubit must be an integer, got False"),
+        ({"outputs": [1.2]}, "'outputs' qubit must be an integer, got 1.2"),
+        ({"inputs": [0.5]}, "'inputs' qubit must be an integer, got 0.5"),
+        ({"byproducts": [{"type": "X", "qubit": True, "deps": [0]}]},
+         "byproduct 'qubit' must be an integer, got True"),
+        ({"byproducts": [{"type": "X", "qubit": 1, "deps": [0.5]}]},
+         "byproduct 'deps' qubit must be an integer, got 0.5"),
+        ({"nodes": 1, "edges": [], "outputs": []}, "a pattern needs at least one output qubit"),
+    ], ids=["fractional-nodes", "boolean-nodes", "fractional-edge", "boolean-order",
+            "fractional-output", "fractional-input", "boolean-byproduct-qubit",
+            "fractional-byproduct-dep", "no-outputs"])
+    def test_mbqc_strict_pattern_fields(self, tmp_path, fields, message):
+        # A two-node teleport pattern with one field replaced.
+        data = {"nodes": 2, "edges": [[0, 1]], "order": [0], "angles": [0.0],
+                "outputs": [1], **fields}
+        pattern = tmp_path / "bad.json"
+        pattern.write_text(json.dumps(data))
+        code, out, err = run_cli("mbqc", "--pattern", str(pattern))
+        assert_one_error_line(code, out, err)
+        assert err == f"error: cannot load pattern: {message}\n"
+
     def test_anneal_trace(self, problem_path):
         code, out, _ = run_cli("anneal", "--problem", problem_path, "--t-final", "2",
                                "--steps", "50", "--trace", "--json")

@@ -38,6 +38,36 @@ class TestValidation:
     def test_trine_passes(self):
         assert aq.validate_measurement_set(trine_set()).ok
 
+    def test_check_is_stored_once_with_the_same_bits(self):
+        # The stored check is the sum-of-products expression, computed at
+        # construction; validating returns it rather than recomputing.
+        rng = np.random.default_rng(2)
+        for n, k in ((1, 2), (2, 5), (3, 8)):
+            ops = random_measurement_set(rng, n, k)
+            mset = aq.MeasurementOperatorSet(n, tuple(ops))
+            total = sum(op.conj().T @ op for op in mset.operators)
+            deviation = float(np.max(np.abs(total - np.eye(2 ** n))))
+            assert mset.completeness == aq.CompletenessCheck(True, deviation)
+            assert aq.validate_measurement_set(mset) is mset.completeness
+
+    def test_draws_do_not_revalidate(self, monkeypatch):
+        mset = aq.MeasurementOperatorSet(1, (P0, P1))
+
+        def refuse(_):
+            raise AssertionError("re-validated a stored measurement set")
+
+        monkeypatch.setattr(measure, "validate_measurement_set", refuse)
+        for seed in range(4):
+            aq.apply_measurement(mset, aq.plus_state(1), seed=seed)
+
+    def test_incomplete_set_is_refused_on_every_use(self):
+        mset = aq.MeasurementOperatorSet(1, (P0,))
+        for use in (aq.apply_measurement, aq.measurement_branches):
+            with pytest.raises(ValueError, match=r"not complete \(deviation 1\.000e\+00\)"):
+                use(mset, aq.plus_state(1))
+        with pytest.raises(ValueError, match="not complete"):
+            aq.synthesize_measurement(mset)
+
 
 class TestApplication:
     def test_z_basis_on_plus(self):
