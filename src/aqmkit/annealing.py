@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import gates
+from ._fields import read_integer, read_list, read_number, read_object
 from .simulate import embed_gate
 from .state import StateVector, plus_state
 
@@ -31,25 +32,6 @@ MAX_SPINS = 12
 # Most steps an AnnealSchedule accepts (each keeps about 120 B of grid and trace):
 # on a 2-vCPU VM 10**5 steps took 3 s at 1 spin and 62 s at MAX_SPINS.
 MAX_ANNEAL_STEPS = 10 ** 5
-
-
-def _number(value, what: str) -> float:
-    """A JSON number as a float; booleans, strings and null are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} is out of range") from None
-
-
-def _integer(value, what: str) -> int:
-    """A JSON integer; an integral float such as 3.0 is accepted, 2.7 and true are not."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -82,23 +64,12 @@ class IsingProblem:
     @classmethod
     def from_dict(cls, data: dict) -> "IsingProblem":
         """Parse {"n": int, "h": [number], "J": [[i, j, number]]}; bad input is a ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError("problem must be a JSON object")
-        unknown = set(data) - {"n", "h", "J"}
-        if unknown:
-            raise ValueError(f"unknown field(s) {sorted(unknown)}")
-        if "n" not in data:
-            raise ValueError("missing field 'n'")
-        fields = data.get("h", [])
-        couplings = data.get("J", [])
-        if not isinstance(fields, list):
-            raise ValueError("'h' must be a list of numbers")
-        if not (isinstance(couplings, list)
-                and all(isinstance(c, list) and len(c) == 3 for c in couplings)):
-            raise ValueError("'J' must be a list of [i, j, strength] triples")
-        return cls(_integer(data["n"], "'n'"), tuple(_number(h, "'h'") for h in fields),
-                   tuple((_integer(i, "'J' site"), _integer(j, "'J' site"),
-                          _number(v, "'J' strength")) for i, j, v in couplings))
+        data = read_object(data, "problem", ("n",), ("h", "J"))
+        fields = [read_number(h, "'h'") for h in read_list(data.get("h", []), "'h'")]
+        couplings = [read_list(c, "'J' entry", 3) for c in read_list(data.get("J", []), "'J'")]
+        return cls(read_integer(data["n"], "'n'"), tuple(fields),
+                   tuple((read_integer(i, "'J' site"), read_integer(j, "'J' site"),
+                          read_number(v, "'J' strength")) for i, j, v in couplings))
 
     @classmethod
     def from_json(cls, text: str) -> "IsingProblem":
@@ -168,7 +139,7 @@ class AnnealSchedule:
             raise ValueError("lambda1 must be non-decreasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnealResult:
     final_state: StateVector
     times: np.ndarray

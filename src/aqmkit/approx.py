@@ -28,7 +28,7 @@ def check_approximation_bounds(epsilon: float, max_depth: int) -> None:
         raise ValueError("max_depth must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproximationRequest:
     target: np.ndarray
     gate_alphabet: tuple[str, ...]

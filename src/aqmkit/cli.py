@@ -92,10 +92,7 @@ def _load_profile(spec: str) -> DeviceProfile:
 def cmd_simulate(args) -> int:
     if not 1 <= args.shots <= MAX_SHOTS:
         return _fail(f"--shots must lie in [1, {MAX_SHOTS}]", EXIT_USAGE)
-    try:
-        circuit = _load_circuit(args.circuit)
-    except CircuitError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    circuit = _load_circuit(args.circuit)
     if circuit.num_qubits > MAX_SIM_QUBITS:
         return _fail(f"circuit has {circuit.num_qubits} qubits; simulate supports at most "
                      f"{MAX_SIM_QUBITS}", EXIT_USAGE)
@@ -112,20 +109,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transpile(args) -> int:
-    try:
-        check_approximation_bounds(args.epsilon, args.max_depth)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    check_approximation_bounds(args.epsilon, args.max_depth)
     if not (math.isfinite(args.budget_threshold) and args.budget_threshold > 0):
         return _fail("--budget-threshold must be a finite number > 0", EXIT_USAGE)
-    try:
-        circuit = _load_circuit(args.circuit)
-    except CircuitError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        profile = _load_profile(args.profile)
-    except ProfileError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    circuit = _load_circuit(args.circuit)
+    profile = _load_profile(args.profile)
     try:
         result = compile_for_device(
             circuit, profile, epsilon=args.epsilon, max_depth=args.max_depth,
@@ -194,12 +182,8 @@ def cmd_match(args) -> int:
         return EXIT_OK
     if not args.profile or not args.demand:
         return _fail("--profile and --demand are required (or use --matrix)", EXIT_USAGE)
-    try:
-        device = _load_profile(args.profile)
-        demand = builtin_demand(args.demand)
-    except (ProfileError, KeyError) as exc:
-        return _fail(str(exc).strip('"'), EXIT_USAGE)
-    report = match_profiles(device, demand, args.allow_qec_coherence)
+    report = match_profiles(_load_profile(args.profile), builtin_demand(args.demand),
+                            args.allow_qec_coherence)
     sys.stdout.write(render_report(report, "json" if args.json else "text"))
     return EXIT_RULE_FAILURE if report.overall == UNSUPPORTED else EXIT_OK
 
@@ -207,7 +191,7 @@ def cmd_match(args) -> int:
 def cmd_anneal(args) -> int:
     try:
         problem = IsingProblem.from_json(Path(args.problem).read_text())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot load problem: {exc}", EXIT_USAGE)
     schedule = AnnealSchedule(args.t_final, args.steps)
     result = anneal(problem, schedule)
@@ -256,7 +240,7 @@ def cmd_mbqc(args) -> int:
     if args.pattern:
         try:
             pattern = parse_pattern(Path(args.pattern).read_text())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             return _fail(f"cannot load pattern: {exc}", EXIT_USAGE)
     else:
         pattern = euler_rotation_pattern(*args.euler)
@@ -281,10 +265,7 @@ def cmd_profiles(args) -> int:
         for name in BUILTIN_PROFILE_NAMES:
             print(name)
         return EXIT_OK
-    try:
-        profile = _load_profile(args.name)
-    except ProfileError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    profile = _load_profile(args.name)
     if args.json:
         sys.stdout.write(serialize_device_profile(profile))
         return EXIT_OK

@@ -20,7 +20,7 @@ from .simulate import MeasurementRecord
 from .state import StateVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilatedMeasurement:
     """Unitary-plus-ancilla realization of a general measurement.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .annealing import _integer
+from ._fields import read_integer, read_list, read_number, read_object, read_qubits, read_string
 from .graphs import ConnectivityGraph
 from .simulate import MAX_SIM_QUBITS, apply_gate
 from .state import StateVector
@@ -245,11 +245,11 @@ _ADAPT_RE = re.compile(
 _DEP_RE = re.compile(r"s\[(\d+)\]")
 
 
-def _parse_adaptivity(expr: str | None) -> tuple[int, ...]:
-    """Sign dependencies from an expression like '(-1)^(s[0]+s[2]) * theta'."""
+def _parse_adaptivity(expr) -> tuple[int, ...]:
+    """Sign dependencies from an expression like '(-1)^(s[0]+s[2]) * theta', or null."""
     if expr is None:
         return ()
-    match = _ADAPT_RE.match(expr)
+    match = _ADAPT_RE.match(read_string(expr, "'adaptivity' entry"))
     if not match:
         raise ValueError(f"bad adaptivity expression {expr!r}")
     return tuple(int(dep) for dep in _DEP_RE.findall(expr))
@@ -258,53 +258,35 @@ def _parse_adaptivity(expr: str | None) -> tuple[int, ...]:
 def parse_pattern(text: str) -> MeasurementPattern:
     """Load a pattern from its JSON file format (at most MAX_PATTERN_NODES nodes).
 
-    Every malformed input raises ValueError (or KeyError for a byproduct
-    rule missing a key).
+    Every malformed input raises ValueError.
     """
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("a pattern must be a JSON object")
-    required = {"nodes", "edges", "order", "angles", "outputs"}
-    allowed = required | {"inputs", "adaptivity", "byproducts"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown field(s) {sorted(unknown)}")
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"missing field(s) {sorted(missing)}")
-    try:
-        return _pattern_from_fields(data)
-    except (TypeError, OverflowError) as exc:
-        # A field of the wrong JSON type (null or a number for a list, an
-        # integer too large for a float angle) fails inside the conversions.
-        raise ValueError(f"malformed pattern field: {exc}") from None
-
-
-def _qubits(values, field: str) -> tuple[int, ...]:
-    return tuple(_integer(q, f"{field} qubit") for q in values)
-
-
-def _pattern_from_fields(data: dict) -> MeasurementPattern:
-    nodes = _integer(data["nodes"], "'nodes'")
+    data = read_object(json.loads(text), "pattern",
+                       ("nodes", "edges", "order", "angles", "outputs"),
+                       ("inputs", "adaptivity", "byproducts"))
+    nodes = read_integer(data["nodes"], "'nodes'")
     if nodes > MAX_PATTERN_NODES:
         raise ValueError(f"pattern has {nodes} nodes; at most {MAX_PATTERN_NODES} are supported")
-    graph = ConnectivityGraph.from_edges(nodes, [_qubits(e, "'edges'") for e in data["edges"]])
-    order = _qubits(data["order"], "'order'")
-    angles = [float(a) for a in data["angles"]]
+    edges = [read_qubits(read_list(edge, "'edges' entry", 2), "'edges'")
+             for edge in read_list(data["edges"], "'edges'")]
+    graph = ConnectivityGraph.from_edges(nodes, edges)
+    order = read_qubits(data["order"], "'order'")
+    angles = [read_number(a, "'angles' entry") for a in read_list(data["angles"], "'angles'")]
     if len(order) != len(angles):
         raise ValueError("order and angles must have the same length")
-    adaptivity = data.get("adaptivity", [None] * len(order))
+    adaptivity = read_list(data.get("adaptivity", [None] * len(order)), "'adaptivity'")
     if len(adaptivity) != len(order):
         raise ValueError("adaptivity must list one expression (or null) per measured qubit")
     steps = tuple(
         PatternStep(qubit, angle, _parse_adaptivity(expr))
         for qubit, angle, expr in zip(order, angles, adaptivity))
+    rules = [read_object(rule, "byproduct", ("type", "qubit", "deps"))
+             for rule in read_list(data.get("byproducts", []), "'byproducts'")]
     byproducts = tuple(
-        ByproductRule(rule["type"], _integer(rule["qubit"], "byproduct 'qubit'"),
-                      _qubits(rule["deps"], "byproduct 'deps'"))
-        for rule in data.get("byproducts", []))
+        ByproductRule(rule["type"], read_integer(rule["qubit"], "byproduct 'qubit'"),
+                      read_qubits(rule["deps"], "byproduct 'deps'"))
+        for rule in rules)
     return MeasurementPattern(
         graph, steps,
-        outputs=_qubits(data["outputs"], "'outputs'"),
-        inputs=_qubits(data.get("inputs", []), "'inputs'"),
+        outputs=read_qubits(data["outputs"], "'outputs'"),
+        inputs=read_qubits(data.get("inputs", []), "'inputs'"),
         byproducts=byproducts)

@@ -23,7 +23,7 @@ class CompletenessCheck:
     max_deviation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementOperatorSet:
     """Ordered operators m_1..m_K over a fixed qubit count (K >= 1, any K).
 

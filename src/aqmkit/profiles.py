@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ._fields import (read_boolean, read_integer, read_list, read_number, read_object,
+                      read_qubits, read_string)
 from .gates import GATE_ARITY, MARKERS
 from .graphs import ConnectivityGraph
 
@@ -140,115 +142,79 @@ def validate_profile(profile: DeviceProfile) -> list[str]:
 
 # --- JSON schema ------------------------------------------------------------
 
-_TOP_FIELDS = {"name", "num_qubits", "connectivity", "native_gates", "t1_us", "t2_us",
-               "t2_dd_us", "measurement", "rule_support", "qec_capable", "notes"}
-_REQUIRED = _TOP_FIELDS - {"t2_dd_us"}
-_GATE_FIELDS = {"gate", "arity", "duration_ns", "fidelity"}
-_MEAS_FIELDS = {"computational_only", "fidelity", "duration_ns", "mid_circuit"}
+# Most qubits a profile may declare. The connectivity graph keeps one
+# neighbour list per qubit, so a larger count would cost memory before any
+# edge is read (three million qubits took 0.9 GiB).
+MAX_PROFILE_QUBITS = 10_000
 
-
-def _expect(condition: bool, path: str, message: str):
-    if not condition:
-        raise ProfileError(f"{path}: {message}")
-
-
-def _number(value, path: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            path, "expected a number")
-    return float(value)
+_REQUIRED = ("name", "num_qubits", "connectivity", "native_gates", "t1_us", "t2_us",
+             "measurement", "rule_support", "qec_capable", "notes")
+_GATE_FIELDS = ("gate", "arity", "duration_ns", "fidelity")
+_MEAS_FIELDS = ("computational_only", "fidelity", "duration_ns", "mid_circuit")
 
 
 def _level(value, path: str) -> Level:
-    _expect(value in ("full", "partial", "none"), path, f"bad level {value!r}")
+    if value not in ("full", "partial", "none"):
+        raise ValueError(f"{path}: bad level {value!r}")
     return Level(value)
+
+
+def _read_profile(data) -> DeviceProfile:
+    """The profile that `data` spells out, before its invariants are checked."""
+    data = read_object(data, "profile", _REQUIRED, ("t2_dd_us",))
+    num_qubits = read_integer(data["num_qubits"], "num_qubits")
+    if num_qubits > MAX_PROFILE_QUBITS:
+        raise ValueError(f"num_qubits must be at most {MAX_PROFILE_QUBITS}")
+    edges = [read_qubits(read_list(pair, f"connectivity[{i}]", 2), f"connectivity[{i}]")
+             for i, pair in enumerate(read_list(data["connectivity"], "connectivity"))]
+    try:
+        connectivity = ConnectivityGraph.from_edges(num_qubits, edges)
+    except ValueError as exc:
+        raise ValueError(f"connectivity: {exc}") from None
+
+    specs = []
+    for i, raw in enumerate(read_list(data["native_gates"], "native_gates")):
+        path = f"native_gates[{i}]"
+        raw = read_object(raw, path, _GATE_FIELDS)
+        specs.append(GateSpec(read_string(raw["gate"], f"{path}.gate").upper(),
+                              read_integer(raw["arity"], f"{path}.arity"),
+                              read_number(raw["duration_ns"], f"{path}.duration_ns"),
+                              read_number(raw["fidelity"], f"{path}.fidelity")))
+
+    raw_meas = read_object(data["measurement"], "measurement", _MEAS_FIELDS)
+    measurement = MeasurementSpec(
+        read_boolean(raw_meas["computational_only"], "measurement.computational_only"),
+        read_number(raw_meas["fidelity"], "measurement.fidelity"),
+        read_number(raw_meas["duration_ns"], "measurement.duration_ns"),
+        read_boolean(raw_meas["mid_circuit"], "measurement.mid_circuit"))
+
+    raw_rules = read_object(data["rule_support"], "rule_support", RULES)
+    # Notes take any key; each key and value is a string.
+    notes = read_object(data["notes"], "notes", (), data["notes"])
+    for key, value in notes.items():
+        read_string(key, "notes key")
+        read_string(value, f"notes.{key}")
+
+    return DeviceProfile(
+        name=read_string(data["name"], "name"),
+        num_qubits=num_qubits,
+        connectivity=connectivity,
+        native_gates=tuple(specs),
+        t1_us=read_number(data["t1_us"], "t1_us"),
+        t2_us=read_number(data["t2_us"], "t2_us"),
+        t2_dd_us=read_number(data["t2_dd_us"], "t2_dd_us") if "t2_dd_us" in data else None,
+        measurement=measurement,
+        rule_support={rule: _level(raw_rules[rule], f"rule_support.{rule}") for rule in RULES},
+        qec_capable=read_boolean(data["qec_capable"], "qec_capable"),
+        notes=dict(notes))
 
 
 def profile_from_dict(data: dict) -> DeviceProfile:
     """Build and validate a DeviceProfile from schema-shaped data."""
-    _expect(isinstance(data, dict), "$", "expected an object")
-    unknown = set(data) - _TOP_FIELDS
-    _expect(not unknown, "$", f"unknown field(s) {sorted(unknown)}")
-    missing = _REQUIRED - set(data)
-    _expect(not missing, "$", f"missing field(s) {sorted(missing)}")
-
-    _expect(isinstance(data["name"], str), "name", "expected a string")
-    _expect(isinstance(data["num_qubits"], int) and not isinstance(data["num_qubits"], bool),
-            "num_qubits", "expected an integer")
-    num_qubits = data["num_qubits"]
-
-    _expect(isinstance(data["connectivity"], list), "connectivity", "expected a list of pairs")
-    edges = []
-    for i, pair in enumerate(data["connectivity"]):
-        path = f"connectivity[{i}]"
-        _expect(isinstance(pair, list) and len(pair) == 2, path, "expected [int, int]")
-        _expect(all(isinstance(q, int) and not isinstance(q, bool) for q in pair),
-                path, "expected integer qubit indices")
-        edges.append((pair[0], pair[1]))
     try:
-        connectivity = ConnectivityGraph.from_edges(num_qubits, edges)
+        profile = _read_profile(data)
     except ValueError as exc:
-        raise ProfileError(f"connectivity: {exc}") from None
-
-    _expect(isinstance(data["native_gates"], list), "native_gates", "expected a list")
-    specs = []
-    for i, raw in enumerate(data["native_gates"]):
-        path = f"native_gates[{i}]"
-        _expect(isinstance(raw, dict), path, "expected an object")
-        unknown = set(raw) - _GATE_FIELDS
-        _expect(not unknown, path, f"unknown field(s) {sorted(unknown)}")
-        missing = _GATE_FIELDS - set(raw)
-        _expect(not missing, path, f"missing field(s) {sorted(missing)}")
-        _expect(isinstance(raw["gate"], str), f"{path}.gate", "expected a string")
-        _expect(isinstance(raw["arity"], int) and not isinstance(raw["arity"], bool),
-                f"{path}.arity", "expected an integer")
-        specs.append(GateSpec(raw["gate"].upper(), raw["arity"],
-                              _number(raw["duration_ns"], f"{path}.duration_ns"),
-                              _number(raw["fidelity"], f"{path}.fidelity")))
-
-    raw_meas = data["measurement"]
-    _expect(isinstance(raw_meas, dict), "measurement", "expected an object")
-    unknown = set(raw_meas) - _MEAS_FIELDS
-    _expect(not unknown, "measurement", f"unknown field(s) {sorted(unknown)}")
-    missing = _MEAS_FIELDS - set(raw_meas)
-    _expect(not missing, "measurement", f"missing field(s) {sorted(missing)}")
-    _expect(isinstance(raw_meas["computational_only"], bool),
-            "measurement.computational_only", "expected a boolean")
-    _expect(isinstance(raw_meas["mid_circuit"], bool),
-            "measurement.mid_circuit", "expected a boolean")
-    measurement = MeasurementSpec(
-        raw_meas["computational_only"],
-        _number(raw_meas["fidelity"], "measurement.fidelity"),
-        _number(raw_meas["duration_ns"], "measurement.duration_ns"),
-        raw_meas["mid_circuit"])
-
-    raw_rules = data["rule_support"]
-    _expect(isinstance(raw_rules, dict), "rule_support", "expected an object")
-    unknown = set(raw_rules) - set(RULES)
-    _expect(not unknown, "rule_support", f"unknown rule(s) {sorted(unknown)}")
-    missing = set(RULES) - set(raw_rules)
-    _expect(not missing, "rule_support", f"missing rule(s) {sorted(missing)}")
-    rule_support = {rule: _level(raw_rules[rule], f"rule_support.{rule}") for rule in RULES}
-
-    _expect(isinstance(data["qec_capable"], bool), "qec_capable", "expected a boolean")
-    notes = data["notes"]
-    _expect(isinstance(notes, dict), "notes", "expected an object")
-    for key, value in notes.items():
-        _expect(isinstance(key, str) and isinstance(value, str),
-                f"notes.{key}", "expected string keys and values")
-
-    t2_dd = _number(data["t2_dd_us"], "t2_dd_us") if "t2_dd_us" in data else None
-    profile = DeviceProfile(
-        name=data["name"],
-        num_qubits=num_qubits,
-        connectivity=connectivity,
-        native_gates=tuple(specs),
-        t1_us=_number(data["t1_us"], "t1_us"),
-        t2_us=_number(data["t2_us"], "t2_us"),
-        t2_dd_us=t2_dd,
-        measurement=measurement,
-        rule_support=rule_support,
-        qec_capable=data["qec_capable"],
-        notes=dict(notes))
+        raise ProfileError(str(exc)) from None
     violations = validate_profile(profile)
     if violations:
         raise ProfileError("; ".join(violations))
@@ -259,7 +225,7 @@ def parse_device_profile(text: str) -> DeviceProfile:
     """Parse profile JSON; rejects unknown fields and invariant violations."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ProfileError(f"syntax error: {exc}") from None
     return profile_from_dict(data)
 

@@ -15,7 +15,7 @@ import numpy as np
 NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized amplitude vector; length must be a power of two."""
 

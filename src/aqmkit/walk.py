@@ -24,7 +24,7 @@ _PRUNE = 1e-15
 MAX_WALK_STEPS = 8000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkSpec:
     num_steps: int
     line_half_width: int

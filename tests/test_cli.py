@@ -10,7 +10,9 @@ import pytest
 from aqmkit import cli, simulate
 from aqmkit.annealing import MAX_ANNEAL_STEPS
 from aqmkit.cli import MAX_SHOTS, main
+from aqmkit.devices import builtin_profile
 from aqmkit.mbqc import MAX_PATTERN_NODES, parse_pattern
+from aqmkit.profiles import profile_to_dict
 from aqmkit.walk import MAX_WALK_STEPS, WalkSpec, walk_run
 
 BELL = "qubits 2\nH 0\nCNOT 0 1\nMEASURE 0\nMEASURE 1\n"
@@ -311,6 +313,30 @@ class TestTranspile:
         circuit.write_text("qubits 1\nH 0\n")
         assert_one_error_line(*run_cli("transpile", str(circuit), "--profile", str(tmp_path)))
 
+    @pytest.mark.parametrize("field, raw, message", [
+        ("t1_us", "1" + "0" * 400, "t1_us is out of range"),
+        ("duration_ns", str(10 ** 400), "measurement.duration_ns is out of range"),
+        ("t1_us", "NaN", "t1_us must be finite, got nan"),
+        ("t1_us", "Infinity", "t1_us must be finite, got inf"),
+        ("t2_dd_us", "NaN", "t2_dd_us must be finite, got nan"),
+    ], ids=["huge-t1", "huge-measurement-duration", "nan-t1", "infinite-t1", "nan-t2-dd"])
+    def test_profile_bad_number_is_usage_error(self, tmp_path, field, raw, message):
+        circuit = tmp_path / "c.txt"
+        circuit.write_text("qubits 2\nH 0\nCNOT 0 1\n")
+        data = profile_to_dict(builtin_profile("superconducting-transmon"))
+        (data["measurement"] if field == "duration_ns" else data)[field] = "@"
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(data).replace('"@"', raw))
+        code, out, err = run_cli("transpile", str(circuit), "--profile", str(profile))
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {message}\n"
+
+    def test_unknown_profile_reads_alike_in_match_and_transpile(self, bell_path):
+        _, _, match_err = run_cli("match", "--profile", "it's", "--demand", "mbqc")
+        code, out, err = run_cli("transpile", bell_path, "--profile", "it's")
+        assert_one_error_line(code, out, err)
+        assert match_err == err and err.startswith("error: \"it's\" is neither")
+
     @pytest.mark.parametrize("flags", [
         ("--epsilon", "2"), ("--epsilon", "1"), ("--epsilon", "0"), ("--epsilon", "-0.5"),
         ("--epsilon", "nan"), ("--max-depth", "-1"),
@@ -453,9 +479,19 @@ class TestOtherCommands:
         ({"byproducts": [{"type": "X", "qubit": 1, "deps": [0.5]}]},
          "byproduct 'deps' qubit must be an integer, got 0.5"),
         ({"nodes": 1, "edges": [], "outputs": []}, "a pattern needs at least one output qubit"),
+        ({"angles": [True]}, "'angles' entry must be a number, got True"),
+        ({"angles": ["0.5"]}, "'angles' entry must be a number, got '0.5'"),
+        ({"edges": [[0]]}, "'edges' entry must be a list of length 2, got [0]"),
+        ({"byproducts": [5]}, "byproduct must be an object, got 5"),
+        ({"byproducts": [{"type": "X", "deps": [0]}]}, "byproduct is missing field(s) ['qubit']"),
+        ({"adaptivity": [5]}, "'adaptivity' entry must be a string, got 5"),
+        ({"angles": {"a": 1}}, "'angles' must be a list, got {'a': 1}"),
+        ({"nodes": [0] * 10 ** 5}, "'nodes' must be an integer, got [0, 0, 0, 0, 0, 0, ...]"),
     ], ids=["fractional-nodes", "boolean-nodes", "fractional-edge", "boolean-order",
             "fractional-output", "fractional-input", "boolean-byproduct-qubit",
-            "fractional-byproduct-dep", "no-outputs"])
+            "fractional-byproduct-dep", "no-outputs", "boolean-angle", "string-angle",
+            "one-qubit-edge", "number-byproduct", "byproduct-without-qubit",
+            "number-adaptivity", "object-angles", "long-list-nodes"])
     def test_mbqc_strict_pattern_fields(self, tmp_path, fields, message):
         # A two-node teleport pattern with one field replaced.
         data = {"nodes": 2, "edges": [[0, 1]], "order": [0], "angles": [0.0],

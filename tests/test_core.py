@@ -37,6 +37,21 @@ class TestStates:
         with pytest.raises(ValueError, match="finite"):
             aq.StateVector(np.array([np.nan, 0.0]))
 
+    def test_array_holding_types_compare_by_identity(self):
+        projectors = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+        makers = [
+            lambda: aq.plus_state(1),
+            lambda: aq.MeasurementOperatorSet(1, projectors),
+            lambda: aq.synthesize_measurement(aq.MeasurementOperatorSet(1, projectors)),
+            lambda: aq.ApproximationRequest(gates.H, ("H", "T"), 0.1, 2),
+            lambda: aq.WalkSpec(2, 2),
+            lambda: aq.anneal(aq.IsingProblem(1, (-1.0,)), aq.AnnealSchedule(0.0, 1)),
+        ]
+        for make in makers:
+            first, twin = make(), make()
+            assert (first == first) is True and (first == twin) is False
+            assert hash(first) != hash(twin)
+
     def test_tensor_zero_zero(self):
         joint = aq.tensor_product(aq.basis_state(1, 0), aq.basis_state(1, 0))
         assert np.allclose(joint.amplitudes, [1, 0, 0, 0])

@@ -80,6 +80,38 @@ class TestProfileSchema:
         with pytest.raises(aq.ProfileError, match=r"native_gates\[0\].fidelity"):
             aq.parse_device_profile(json.dumps(data))
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("t1_us",), 10 ** 400, "t1_us is out of range"),
+        (("t1_us",), float("nan"), "t1_us must be finite, got nan"),
+        (("t1_us",), float("inf"), "t1_us must be finite, got inf"),
+        (("t2_dd_us",), float("-inf"), "t2_dd_us must be finite, got -inf"),
+        (("t2_us",), "300", "t2_us must be a number, got '300'"),
+        (("measurement", "duration_ns"), 10 ** 400, "measurement.duration_ns is out of range"),
+        (("native_gates", 0, "fidelity"), True,
+         "native_gates[0].fidelity must be a number, got True"),
+        (("num_qubits",), 5.5, "num_qubits must be an integer, got 5.5"),
+        (("num_qubits",), 10 ** 9, "num_qubits must be at most 10000"),
+    ], ids=["huge-t1", "nan-t1", "infinite-t1", "infinite-t2-dd", "string-t2",
+            "huge-measurement-duration", "boolean-fidelity", "fractional-num-qubits",
+            "num-qubits-over-cap"])
+    def test_bad_number_names_field(self, path, value, message):
+        data = profile_to_dict(builtin_profile("superconducting-transmon"))
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(aq.ProfileError) as info:
+            aq.parse_device_profile(json.dumps(data))
+        assert str(info.value) == message
+
+    def test_integral_floats_read_as_integers(self):
+        profile = builtin_profile("superconducting-transmon")
+        data = profile_to_dict(profile)
+        data["num_qubits"] = float(data["num_qubits"])
+        data["connectivity"] = [[float(a), float(b)] for a, b in data["connectivity"]]
+        assert aq.parse_device_profile(json.dumps(data)) == profile
+
     def test_missing_connectivity(self):
         data = profile_to_dict(builtin_profile("fluxonium"))
         del data["connectivity"]
