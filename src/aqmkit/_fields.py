@@ -1,22 +1,43 @@
 """Typed readers for the fields of the JSON input formats.
 
-Device profiles, Ising problems and measurement patterns read every field
-through these functions, so one rule decides what a JSON object, list,
-number, integer, boolean and string is. Each reader returns the value (a
-number as a float) or raises ValueError naming the field as `what`. The
-message shows the offending value through `reprlib`, so a huge list or
-string stays a short line.
+Device profiles, Ising problems and measurement patterns parse their text
+with `read_json` and read every field through these functions, so one rule
+decides what a JSON object, list, number, integer, boolean and string is.
+Each reader returns the value (a number as a float) or raises ValueError
+naming the field as `what`. The message shows the offending value through
+`reprlib`, so a huge list or string stays a short line.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import reprlib
+import sys
 
 
 def _require(ok: bool, what: str, kind: str, value) -> None:
     if not ok:
         raise ValueError(f"{what} must be {kind}, got {reprlib.repr(value)}")
+
+
+def read_json(text: str, what: str):
+    """Parse JSON text; every failure is a ValueError.
+
+    A syntax error is json's own JSONDecodeError; too deep a nesting and an
+    over-long integer raise a ValueError naming `what`.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+    except ValueError:
+        # The only other ValueError json.loads raises is int()'s refusal of
+        # an integer longer than the interpreter's digit limit.
+        raise ValueError(f"{what} has an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def read_object(value, what: str, required, optional=()) -> dict:

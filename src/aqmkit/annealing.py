@@ -16,14 +16,13 @@ remain as the dense form, and `evolve` exponentiates any dense H exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import gates
-from ._fields import read_integer, read_list, read_number, read_object
+from ._fields import read_integer, read_json, read_list, read_number, read_object
 from .simulate import embed_gate
 from .state import StateVector, plus_state
 
@@ -73,7 +72,7 @@ class IsingProblem:
 
     @classmethod
     def from_json(cls, text: str) -> "IsingProblem":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(read_json(text, "problem"))
 
     def cost_diagonal(self) -> np.ndarray:
         """Diagonal of H1 over computational basis states (Z|0> = +|0>)."""

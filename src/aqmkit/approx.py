@@ -5,6 +5,14 @@ lexicographic) order, deduplicating unitaries that agree up to global phase,
 so the search is exact-optimal per depth and fully deterministic. The
 enumeration is cached per alphabet and extended lazily as deeper searches
 are requested.
+
+The table is built one level at a time in arrays: one batched matmul of the
+alphabet against the last level's matrices, canonical keys for all the
+candidates at once, then deduplication in the scalar search's order. The
+table grows about 1.35x per level for the eight-letter Clifford+T alphabet
+(6 122 words at depth 10, 123 305 at depth 20), so `max_depth` is capped at
+MAX_APPROX_DEPTH = 20, where one cold build takes about 1.2 s and 130 MiB
+peak RSS on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -20,12 +28,15 @@ _ALLOWED = frozenset(name for name, arity in GATE_ARITY.items()
                      if arity == 1 and name in FIXED_GATES)
 
 
+MAX_APPROX_DEPTH = 20
+
+
 def check_approximation_bounds(epsilon: float, max_depth: int) -> None:
-    """Raise ValueError unless 0 < epsilon < 1 and max_depth >= 0."""
+    """Raise ValueError unless 0 < epsilon < 1 and 0 <= max_depth <= MAX_APPROX_DEPTH."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+    if not 0 <= max_depth <= MAX_APPROX_DEPTH:
+        raise ValueError(f"max_depth must lie in [0, {MAX_APPROX_DEPTH}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,61 +70,67 @@ class ApproximationResult:
     achieved: bool
 
 
-def _canonical_key(u: np.ndarray) -> bytes:
-    flat = u.reshape(-1)
-    pivot = flat[int(np.argmax(np.abs(flat)))]
-    phase = pivot / abs(pivot)
-    return np.round(u * np.conj(phase), 12).tobytes()
+def _canonical_keys(mats: np.ndarray) -> list[bytes]:
+    """One key per matrix of an (n, 2, 2) stack, equal for matrices equal up to phase.
+
+    The phase is the largest-magnitude entry (the first on ties) divided by its
+    modulus. That division stays a numpy scalar one per matrix: the array form
+    rounds differently in about 30% of cases, and a changed key changes which
+    words survive deduplication.
+    """
+    flat = mats.reshape(len(mats), 4)
+    pivots = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    phases = np.array([pivot / abs(pivot) for pivot in pivots], dtype=complex)
+    rounded = np.round(mats * np.conj(phases)[:, None, None], 12)
+    return rounded.reshape(len(mats), -1).view(np.dtype((np.void, 64))).ravel().tolist()
 
 
 @dataclass
 class _Enumeration:
-    """Phase-distinct word unitaries for one alphabet, in (length, lex) order."""
+    """Phase-distinct word unitaries for one alphabet, in (length, lex) order.
+
+    `stack[i]` is the unitary of `words[i]`, and the words of length at most d
+    are the first `ends[d]` rows.
+    """
 
     alphabet: tuple[str, ...]
-    words: list[tuple[str, ...]] = field(default_factory=list)
-    matrices: list[np.ndarray] = field(default_factory=list)
-    seen: set[bytes] = field(default_factory=set)
-    frontier: list[int] = field(default_factory=list)
-    depth: int = -1
-    stack: np.ndarray | None = None
+    words: list[tuple[str, ...]] = field(default_factory=lambda: [()])
+    stack: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex)[None])
+    ends: list[int] = field(default_factory=lambda: [1])
+    seen: set[bytes] = field(init=False)
+
+    def __post_init__(self):
+        self.seen = set(_canonical_keys(self.stack))
 
     def extend_to(self, depth: int):
-        if self.depth < 0:
-            identity = np.eye(2, dtype=complex)
-            self.words.append(())
-            self.matrices.append(identity)
-            self.seen.add(_canonical_key(identity))
-            self.frontier = [0]
-            self.depth = 0
-        while self.depth < depth:
-            next_frontier: list[int] = []
-            for index in self.frontier:
-                base_word = self.words[index]
-                base = self.matrices[index]
-                for name in self.alphabet:
-                    # Appending a gate to the word left-multiplies the matrix.
-                    candidate = FIXED_GATES[name] @ base
-                    key = _canonical_key(candidate)
-                    if key in self.seen:
-                        continue
+        width = len(self.alphabet)
+        while len(self.ends) <= depth:
+            gates = np.stack([FIXED_GATES[name] for name in self.alphabet])
+            start = self.ends[-2] if len(self.ends) > 1 else 0
+            # Appending a gate to a word left-multiplies its matrix. Row
+            # f * width + g is frontier word f followed by alphabet gate g,
+            # the order in which the scalar search met the candidates.
+            candidates = np.matmul(gates[None], self.stack[start:, None]).reshape(-1, 2, 2)
+            fresh = []
+            for row, key in enumerate(_canonical_keys(candidates)):
+                if key not in self.seen:
                     self.seen.add(key)
-                    next_frontier.append(len(self.words))
-                    self.words.append(base_word + (name,))
-                    self.matrices.append(candidate)
-            self.frontier = next_frontier
-            self.depth += 1
-            self.stack = None
-        if self.stack is None:
-            self.stack = np.stack(self.matrices)
+                    fresh.append(row)
+            self.words.extend(self.words[start + row // width] + (self.alphabet[row % width],)
+                              for row in fresh)
+            # Fancy indexing copies the kept rows, so no candidate block stays alive.
+            self.stack = np.concatenate((self.stack, candidates[fresh]))
+            self.ends.append(len(self.words))
 
-    def distances(self, target: np.ndarray) -> np.ndarray:
+    def distances(self, target: np.ndarray, count: int) -> np.ndarray:
+        """Distances from the first `count` word unitaries to the target."""
         # Stable form of sqrt(1 - |tr(W^dag target)|/2): align phases, then
         # measure the Frobenius residual (see linalg.phase_invariant_distance).
-        t = np.einsum("nij,ij->n", np.conj(self.stack), target)
+        stack = self.stack[:count]
+        t = np.einsum("nij,ij->n", np.conj(stack), target)
         magnitude = np.abs(t)
         w = np.where(magnitude > 0, np.conj(t) / np.where(magnitude > 0, magnitude, 1.0), 1.0)
-        residual = self.stack - w[:, None, None] * target[None, :, :]
+        residual = stack - w[:, None, None] * target[None, :, :]
         return np.sqrt(np.minimum(1.0, np.sum(np.abs(residual) ** 2, axis=(1, 2)) / 4.0))
 
 
@@ -136,13 +153,7 @@ def approximate_single_qubit(request: ApproximationRequest) -> ApproximationResu
     (length, lexicographic) order, so results are deterministic.
     """
     enum = _enumeration(request.gate_alphabet, request.max_depth)
-    lengths = np.fromiter((len(w) for w in enum.words), dtype=int, count=len(enum.words))
-    in_range = lengths <= request.max_depth
-    distances = enum.distances(request.target)
-    hits = in_range & (distances <= request.epsilon)
-    if np.any(hits):
-        index = int(np.argmax(hits))
-        return ApproximationResult(enum.words[index], float(distances[index]), True)
-    masked = np.where(in_range, distances, np.inf)
-    index = int(np.argmin(masked))
-    return ApproximationResult(enum.words[index], float(distances[index]), False)
+    distances = enum.distances(request.target, enum.ends[request.max_depth])
+    hits = distances <= request.epsilon
+    index = int(np.argmax(hits)) if hits.any() else int(np.argmin(distances))
+    return ApproximationResult(enum.words[index], float(distances[index]), bool(hits[index]))

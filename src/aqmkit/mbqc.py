@@ -11,7 +11,6 @@ patterns give outcome-independent results.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from ._fields import read_integer, read_list, read_number, read_object, read_qubits, read_string
+from ._fields import (read_integer, read_json, read_list, read_number, read_object,
+                      read_qubits, read_string)
 from .graphs import ConnectivityGraph
 from .simulate import MAX_SIM_QUBITS, apply_gate
 from .state import StateVector
@@ -260,7 +260,7 @@ def parse_pattern(text: str) -> MeasurementPattern:
 
     Every malformed input raises ValueError.
     """
-    data = read_object(json.loads(text), "pattern",
+    data = read_object(read_json(text, "pattern"), "pattern",
                        ("nodes", "edges", "order", "angles", "outputs"),
                        ("inputs", "adaptivity", "byproducts"))
     nodes = read_integer(data["nodes"], "'nodes'")

@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ._fields import (read_boolean, read_integer, read_list, read_number, read_object,
-                      read_qubits, read_string)
+from ._fields import (read_boolean, read_integer, read_json, read_list, read_number,
+                      read_object, read_qubits, read_string)
 from .gates import GATE_ARITY, MARKERS
 from .graphs import ConnectivityGraph
 
@@ -224,9 +224,11 @@ def profile_from_dict(data: dict) -> DeviceProfile:
 def parse_device_profile(text: str) -> DeviceProfile:
     """Parse profile JSON; rejects unknown fields and invariant violations."""
     try:
-        data = json.loads(text)
-    except ValueError as exc:
+        data = read_json(text, "profile")
+    except json.JSONDecodeError as exc:
         raise ProfileError(f"syntax error: {exc}") from None
+    except ValueError as exc:
+        raise ProfileError(str(exc)) from None
     return profile_from_dict(data)
 
 

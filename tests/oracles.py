@@ -4,7 +4,8 @@ These deliberately take different computational routes from the library:
 dense Kronecker products with explicit permutation matrices instead of
 index-scatter embedding or tensor contraction, exhaustive path enumeration
 instead of BFS, closed-form binomials instead of probability propagation,
-every measurement branch enumerated instead of shots sampled.
+every measurement branch enumerated instead of shots sampled, one 2x2
+product at a time instead of one array operation per search level.
 """
 
 from __future__ import annotations
@@ -190,3 +191,37 @@ def oracle_reorder(amps: np.ndarray, live, outputs) -> np.ndarray:
 def binomial_walk_distribution(steps: int) -> dict[int, float]:
     """Closed-form symmetric +/-1 random walk distribution after `steps`."""
     return {2 * k - steps: math.comb(steps, k) / 2 ** steps for k in range(steps + 1)}
+
+
+def oracle_word_enumeration(alphabet, depth: int):
+    """Phase-distinct words over `alphabet` up to `depth`, one scalar product at a time.
+
+    Words come in (length, lexicographic) order; a word whose unitary agrees
+    up to global phase with an earlier one is dropped. Returns the words and
+    their unitaries as two parallel lists.
+    """
+    def key(u):
+        flat = u.reshape(-1)
+        pivot = flat[int(np.argmax(np.abs(flat)))]
+        phase = pivot / abs(pivot)
+        return np.round(u * np.conj(phase), 12).tobytes()
+
+    words = [()]
+    matrices = [np.eye(2, dtype=complex)]
+    seen = {key(matrices[0])}
+    frontier = [0]
+    for _ in range(depth):
+        next_frontier = []
+        for index in frontier:
+            for name in alphabet:
+                # Appending a gate to the word left-multiplies the matrix.
+                candidate = gates.FIXED_GATES[name] @ matrices[index]
+                candidate_key = key(candidate)
+                if candidate_key in seen:
+                    continue
+                seen.add(candidate_key)
+                next_frontier.append(len(words))
+                words.append(words[index] + (name,))
+                matrices.append(candidate)
+        frontier = next_frontier
+    return words, matrices

@@ -9,6 +9,7 @@ import pytest
 
 from aqmkit import cli, simulate
 from aqmkit.annealing import MAX_ANNEAL_STEPS
+from aqmkit.approx import MAX_APPROX_DEPTH
 from aqmkit.cli import MAX_SHOTS, main
 from aqmkit.devices import builtin_profile
 from aqmkit.mbqc import MAX_PATTERN_NODES, parse_pattern
@@ -339,9 +340,9 @@ class TestTranspile:
 
     @pytest.mark.parametrize("flags", [
         ("--epsilon", "2"), ("--epsilon", "1"), ("--epsilon", "0"), ("--epsilon", "-0.5"),
-        ("--epsilon", "nan"), ("--max-depth", "-1"),
+        ("--epsilon", "nan"), ("--max-depth", "-1"), ("--max-depth", str(MAX_APPROX_DEPTH + 1)),
     ], ids=["epsilon-2", "epsilon-1", "epsilon-0", "epsilon-negative", "epsilon-nan",
-            "max-depth-negative"])
+            "max-depth-negative", "max-depth-above-cap"])
     def test_approximation_bounds_checked_up_front(self, tmp_path, flags):
         # Nothing here needs approximating, so only the up-front check can fail.
         circuit = tmp_path / "c.txt"
@@ -536,6 +537,24 @@ class TestOtherCommands:
         code, out, err = run_cli("anneal", "--problem", str(path))
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: cannot load problem")
+
+    @pytest.mark.parametrize("command, flag, what", [
+        ("transpile", "--profile", "profile"),
+        ("mbqc", "--pattern", "pattern"),
+        ("anneal", "--problem", "problem"),
+    ], ids=["profile", "pattern", "problem"])
+    @pytest.mark.parametrize("body, fault", [
+        ("[" * 100_000 + "]" * 100_000, "is nested too deeply"),
+        ('{"n": ' + "1" * 5000 + "}", "has an integer of more than"),
+    ], ids=["deep-nesting", "long-integer"])
+    def test_json_input_faults_name_the_input(self, tmp_path, bell_path, command, flag, what,
+                                              body, fault):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        circuit = (bell_path,) if command == "transpile" else ()
+        code, out, err = run_cli(command, *circuit, flag, str(path))
+        assert_one_error_line(code, out, err)
+        assert f"{what} {fault}" in err and "set_int_max_str_digits" not in err
 
     def test_profiles_list(self):
         code, out, _ = run_cli("profiles", "list")

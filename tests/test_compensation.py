@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import aqmkit as aq
-from aqmkit import gates
+from aqmkit import approx, gates
 from aqmkit import cost as cost_module
 from aqmkit import pipeline
 from aqmkit.devices import BUILTIN_PROFILE_NAMES, builtin_profile
 from aqmkit.graphs import ConnectivityGraph
-from oracles import (connected_graphs, haar_unitary, oracle_circuit_unitary, random_circuit,
-                     random_measurement_set, random_state)
+from oracles import (connected_graphs, haar_unitary, oracle_circuit_unitary,
+                     oracle_word_enumeration, random_circuit, random_measurement_set,
+                     random_state)
 
 DISCRETE_BASIS = {"H", "T", "TDG", "S", "SDG", "CNOT"}
 
@@ -135,6 +136,48 @@ class TestApproximate:
         first = aq.approximate_single_qubit(request)
         second = aq.approximate_single_qubit(request)
         assert first == second
+
+    @pytest.mark.parametrize("alphabet, depth", [
+        (("H", "T"), 12),
+        (("H", "S", "T", "TDG"), 10),
+        (("H", "S", "SDG", "T", "TDG", "X", "Y", "Z"), 10),
+    ], ids=["H-T", "H-S-T-TDG", "clifford-t-8"])
+    def test_enumeration_matches_scalar_oracle(self, alphabet, depth):
+        words, matrices = oracle_word_enumeration(alphabet, depth)
+        enum = approx._Enumeration(alphabet)
+        enum.extend_to(depth)
+        assert enum.words == words
+        assert enum.stack.tobytes() == np.stack(matrices).tobytes()
+        lengths = [len(word) for word in words]
+        assert enum.ends == [sum(n <= d for n in lengths) for d in range(depth + 1)]
+
+    def test_lazy_extension_equals_direct_build(self):
+        alphabet = ("H", "S", "T", "TDG")
+        lazy = approx._Enumeration(alphabet)
+        lazy.extend_to(3)
+        lazy.extend_to(10)
+        direct = approx._Enumeration(alphabet)
+        direct.extend_to(10)
+        assert lazy.words == direct.words and lazy.ends == direct.ends
+        assert lazy.stack.tobytes() == direct.stack.tobytes()
+        assert lazy.seen == direct.seen
+
+    def test_shallow_request_on_deeper_table(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        targets = [haar_unitary(rng) for _ in range(4)] + [gates.rz(0.3), gates.T]
+        alphabet = ("H", "S", "T", "TDG")
+        for depth in (0, 1, 4, 7):
+            requests = [aq.ApproximationRequest(t, alphabet, epsilon, depth)
+                        for t in targets for epsilon in (0.1, 0.5)]
+            monkeypatch.setattr(approx, "_CACHE", {})
+            fresh = [aq.approximate_single_qubit(r) for r in requests]
+            approx._enumeration(alphabet, 10)
+            assert [aq.approximate_single_qubit(r) for r in requests] == fresh
+
+    def test_depth_cap(self):
+        aq.ApproximationRequest(gates.H, ("H",), 0.1, approx.MAX_APPROX_DEPTH)
+        with pytest.raises(ValueError, match="max_depth"):
+            aq.ApproximationRequest(gates.H, ("H",), 0.1, approx.MAX_APPROX_DEPTH + 1)
 
     def test_empty_alphabet(self):
         with pytest.raises(ValueError, match="empty"):
