@@ -82,7 +82,8 @@ def _canonical_keys(mats: np.ndarray) -> list[bytes]:
     pivots = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
     phases = np.array([pivot / abs(pivot) for pivot in pivots], dtype=complex)
     rounded = np.round(mats * np.conj(phases)[:, None, None], 12)
-    return rounded.reshape(len(mats), -1).view(np.dtype((np.void, 64))).ravel().tolist()
+    # reshape(-1, 4), not (len(mats), -1): an empty stack must give no keys.
+    return rounded.reshape(-1, 4).view(np.dtype((np.void, 64))).ravel().tolist()
 
 
 @dataclass

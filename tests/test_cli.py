@@ -351,6 +351,19 @@ class TestTranspile:
                                  "superconducting-transmon", *flags)
         assert_one_error_line(code, out, err)
 
+    def test_finite_alphabet_is_a_rule_failure(self, tmp_path):
+        # {X} runs out of new words at depth 2; deeper levels must stay empty.
+        circuit = tmp_path / "c.txt"
+        circuit.write_text("qubits 1\nRZ 0 1.0\n")
+        data = profile_to_dict(builtin_profile("superconducting-transmon"))
+        data["native_gates"] = [g for g in data["native_gates"] if g["gate"] in ("X", "CZ")]
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(data))
+        code, out, err = run_cli("transpile", str(circuit), "--profile", str(profile),
+                                 "--max-depth", "10", "--epsilon", "0.1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: rule failure (operations): RZ(1) not approximable")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5"])
     def test_budget_threshold_must_be_finite_and_positive(self, tmp_path, value):
         circuit = tmp_path / "c.txt"

@@ -141,7 +141,9 @@ class TestApproximate:
         (("H", "T"), 12),
         (("H", "S", "T", "TDG"), 10),
         (("H", "S", "SDG", "T", "TDG", "X", "Y", "Z"), 10),
-    ], ids=["H-T", "H-S-T-TDG", "clifford-t-8"])
+        (("X",), 4),
+        (("H", "S"), 10),
+    ], ids=["H-T", "H-S-T-TDG", "clifford-t-8", "finite-X", "finite-H-S"])
     def test_enumeration_matches_scalar_oracle(self, alphabet, depth):
         words, matrices = oracle_word_enumeration(alphabet, depth)
         enum = approx._Enumeration(alphabet)
@@ -173,6 +175,17 @@ class TestApproximate:
             fresh = [aq.approximate_single_qubit(r) for r in requests]
             approx._enumeration(alphabet, 10)
             assert [aq.approximate_single_qubit(r) for r in requests] == fresh
+
+    def test_finite_alphabet_runs_out_of_words(self):
+        # {X} and {H, S} generate finite groups, so deep levels add no word.
+        enum = approx._Enumeration(("X",))
+        enum.extend_to(3)
+        assert enum.words == [(), ("X",)] and enum.ends == [1, 2, 2, 2]
+        result = aq.approximate_single_qubit(aq.ApproximationRequest(gates.X, ("X",), 0.1, 3))
+        assert result == aq.ApproximationResult(("X",), 0.0, True)
+        result = aq.approximate_single_qubit(
+            aq.ApproximationRequest(gates.rz(0.3), ("H", "S"), 0.01, 10))
+        assert not result.achieved and len(result.word) <= 10
 
     def test_depth_cap(self):
         aq.ApproximationRequest(gates.H, ("H",), 0.1, approx.MAX_APPROX_DEPTH)
