@@ -8,7 +8,10 @@ are requested.
 
 The table is built one level at a time in arrays: one batched matmul of the
 alphabet against the last level's matrices, canonical keys for all the
-candidates at once, then deduplication in the scalar search's order. The
+candidates at once, then deduplication in the scalar search's order. A
+search extends and scans the table level by level and stops at the first
+level with a word within epsilon, so a shallow hit never pays for the deep
+levels; only a request with no hit builds the table to `max_depth`. The
 table grows about 1.35x per level for the eight-letter Clifford+T alphabet
 (6 122 words at depth 10, 123 305 at depth 20), so `max_depth` is capped at
 MAX_APPROX_DEPTH = 20, where one cold build takes about 1.2 s and 130 MiB
@@ -123,11 +126,14 @@ class _Enumeration:
             self.stack = np.concatenate((self.stack, candidates[fresh]))
             self.ends.append(len(self.words))
 
-    def distances(self, target: np.ndarray, count: int) -> np.ndarray:
-        """Distances from the first `count` word unitaries to the target."""
+    def distances(self, target: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Distances from word unitaries start..stop-1 to the target.
+
+        Each row's distance has the same bits whatever slice it is computed in.
+        """
         # Stable form of sqrt(1 - |tr(W^dag target)|/2): align phases, then
         # measure the Frobenius residual (see linalg.phase_invariant_distance).
-        stack = self.stack[:count]
+        stack = self.stack[start:stop]
         t = np.einsum("nij,ij->n", np.conj(stack), target)
         magnitude = np.abs(t)
         w = np.where(magnitude > 0, np.conj(t) / np.where(magnitude > 0, magnitude, 1.0), 1.0)
@@ -151,10 +157,23 @@ def approximate_single_qubit(request: ApproximationRequest) -> ApproximationResu
     """Shortest word within epsilon of the target, else the best word found.
 
     Distances are phase-invariant; ties break toward the earlier word in
-    (length, lexicographic) order, so results are deterministic.
+    (length, lexicographic) order, so results are deterministic. The table is
+    extended and searched one level at a time, stopping at the first level
+    that holds a word within epsilon.
     """
-    enum = _enumeration(request.gate_alphabet, request.max_depth)
-    distances = enum.distances(request.target, enum.ends[request.max_depth])
-    hits = distances <= request.epsilon
-    index = int(np.argmax(hits)) if hits.any() else int(np.argmin(distances))
-    return ApproximationResult(enum.words[index], float(distances[index]), bool(hits[index]))
+    enum = _enumeration(request.gate_alphabet, 0)
+    best, best_distance = 0, np.inf
+    for depth in range(request.max_depth + 1):
+        enum.extend_to(depth)
+        start = enum.ends[depth - 1] if depth else 0
+        distances = enum.distances(request.target, start, enum.ends[depth])
+        hits = distances <= request.epsilon
+        if hits.any():
+            index = int(np.argmax(hits))
+            return ApproximationResult(enum.words[start + index], float(distances[index]), True)
+        if len(distances):
+            index = int(np.argmin(distances))
+            # Strictly closer only: on a tie the shallower word stays.
+            if distances[index] < best_distance:
+                best, best_distance = start + index, distances[index]
+    return ApproximationResult(enum.words[best], float(best_distance), False)

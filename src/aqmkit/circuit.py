@@ -102,9 +102,16 @@ class Circuit:
 def parse_circuit(text: str) -> Circuit:
     """Parse the plain-text circuit format."""
     circuit: Circuit | None = None
+    # Each distinct gate line is validated once: the text of a line that parsed
+    # maps to its (frozen) Instruction, and a repeat reuses it.
+    parsed: dict[str, Instruction] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        inst = parsed.get(line)
+        if inst is not None:
+            circuit.instructions.append(inst)
             continue
         tokens = line.split()
         name = tokens[0].upper()
@@ -142,6 +149,7 @@ def parse_circuit(text: str) -> Circuit:
             circuit.add(name, *qubits, angle=angle)
         except CircuitError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
+        parsed[line] = circuit.instructions[-1]
     if circuit is None:
         raise CircuitParseError(1, "empty circuit file (missing 'qubits N' header)")
     return circuit

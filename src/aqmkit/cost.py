@@ -41,16 +41,19 @@ def estimate_cost(circuit: Circuit, profile: DeviceProfile,
     """Serial-schedule duration and heuristic fidelity for a legal circuit."""
     duration = 0.0
     fidelity_product = 1.0
+    specs = {}  # each distinct gate is looked up once
     for inst in circuit.instructions:
         if inst.gate in MARKERS:
             duration += profile.measurement.duration_ns
             fidelity_product *= profile.measurement.fidelity
         else:
-            try:
-                spec = profile.gate_spec(inst.gate)
-            except KeyError:
-                raise ValueError(
-                    f"{inst.gate} is not native to device {profile.name!r}") from None
+            spec = specs.get(inst.gate)
+            if spec is None:
+                try:
+                    spec = specs[inst.gate] = profile.gate_spec(inst.gate)
+                except KeyError:
+                    raise ValueError(
+                        f"{inst.gate} is not native to device {profile.name!r}") from None
             duration += spec.duration_ns
             fidelity_product *= spec.fidelity
     participants = len(circuit.used_qubits())

@@ -132,6 +132,16 @@ def rewrite_to_basis(circuit: Circuit, native_gate_names,
     """
     native = frozenset(name.upper() for name in native_gate_names)
     result = Circuit(circuit.num_qubits)
+    # Each distinct instruction is expanded once; Instruction is frozen, so the
+    # expansions are shared. Rotations skip the memo: they are only ever kept
+    # or deferred, and RZ 0 -0.0 == RZ 0 0.0 would merge their angles' signs.
+    expansions: dict[Instruction, list[Instruction]] = {}
     for inst in circuit.instructions:
-        result.extend(_rewrite_instruction(inst, native, defer_rotations))
+        if inst.angle is not None:
+            result.extend(_rewrite_instruction(inst, native, defer_rotations))
+            continue
+        expansion = expansions.get(inst)
+        if expansion is None:
+            expansion = expansions[inst] = _rewrite_instruction(inst, native, defer_rotations)
+        result.extend(expansion)
     return result

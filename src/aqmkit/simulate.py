@@ -3,9 +3,11 @@
 ``apply_gate`` is the one kernel that applies a gate: it transposes the
 target qubits' axes of the reshaped amplitude array to the front and
 multiplies them by the gate in one matrix product. ``circuit_unitary`` also
-uses it, treating the identity's columns as a batch; ``embed_gate`` builds
-the explicit 2^n-dimensional operator when a dense matrix is wanted (oracles,
-routing checks). Gate matrices are unitary by construction (a read-only
+uses it, treating the identity's columns as a batch: runs of gates that stay
+within two qubits are first fused into one 4x4 block by small products, and
+each block (and each CCX) is contracted into the identity once.
+``embed_gate`` builds the explicit 2^n-dimensional operator when a dense
+matrix is wanted (oracles, routing checks). Gate matrices are unitary by construction (a read-only
 table, finite angles) and are not re-checked.
 MEASURE samples a computational basis outcome for one qubit with the seeded
 generator and collapses the state, reading and zeroing the qubit's halves
@@ -308,20 +310,63 @@ def sample_counts(circuit: Circuit, shots: int,
     return counts
 
 
+def _fold(block: np.ndarray, held: tuple[int, ...], matrix: np.ndarray,
+          qubits: tuple[int, ...]) -> np.ndarray:
+    """`matrix` on `qubits` times the open `block` on `held`, qubits within held.
+
+    Block-local qubit j acts on held[j], little-endian like a gate matrix.
+    """
+    if qubits == held:
+        return matrix @ block
+    if len(qubits) == 2:
+        # Reversed operands: swap the gate's two bits on both sides.
+        return matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4) @ block
+    if qubits[0] == held[0]:
+        # Rows run (bit 1, bit 0): act on bit 0 within each bit-1 half.
+        return np.matmul(matrix, block.reshape(2, 2, 4)).reshape(4, 4)
+    return (matrix @ block.reshape(2, 8)).reshape(4, 4)
+
+
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of a measurement-free circuit.
 
-    Each gate is contracted into the identity by ``apply_gate``, whose
-    column axis is a batch: O(4^n) work per gate, no 2^n x 2^n operator
-    built or multiplied.
+    Gates are fused into blocks of at most two qubits: a gate whose qubits
+    stay within the open block's two is folded into its 2x2 or 4x4 matrix by
+    one small product. When a gate leaves those qubits, the block is
+    contracted into the identity by ``apply_gate``, whose column axis is a
+    batch (O(4^n) work per block, no 2^n x 2^n operator built); a CCX is
+    contracted on its own. Fusion reorders the floating-point products, so
+    the result matches a gate-by-gate contraction to rounding, not bit for bit.
     """
     n = circuit.num_qubits
     full = np.eye(2 ** n, dtype=complex)
+    block, held = None, ()
     for inst in circuit.instructions:
         if inst.gate in gates.MARKERS:
             raise ValueError(f"{inst.gate} has no unitary representation")
+        qubits = inst.qubits
+        for t in qubits:
+            if not 0 <= t < n:
+                raise ValueError(f"target {t} out of range for {n} qubit(s)")
         matrix = gates.gate_matrix(inst.gate, inst.angle)
-        full = apply_gate(full, matrix, inst.qubits, n)
+        if block is not None and len(set(held).union(qubits)) > 2:
+            full = apply_gate(full, block, held, n)
+            block = None
+        if len(qubits) > 2:
+            full = apply_gate(full, matrix, qubits, n)
+        elif block is None:
+            block, held = matrix, qubits
+        else:
+            if len(held) == 1 and qubits != held:
+                # Widen to two qubits: the old block on bit 0, identity on bit 1.
+                wide = np.zeros((2, 2, 2, 2), dtype=complex)
+                wide[0, :, 0, :] = block
+                wide[1, :, 1, :] = block
+                block = wide.reshape(4, 4)
+                held = (held[0], *(q for q in qubits if q != held[0]))
+            block = _fold(block, held, matrix, qubits)
+    if block is not None:
+        full = apply_gate(full, block, held, n)
     return full
 
 

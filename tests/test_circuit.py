@@ -1,5 +1,7 @@
 """Circuit construction and the plain-text format."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,30 @@ class TestTextFormat:
     def test_error_carries_line_number(self):
         with pytest.raises(CircuitParseError, match="line 3"):
             aq.parse_circuit("qubits 2\nH 0\nH 5\n")
+
+    def test_repeated_lines_parse_like_add(self):
+        text = ("qubits 3\nH 0\ncnot 0 1\n  H 0  # again\nRZ 2 0.5\nH 0\nCNOT 0 1\n"
+                "rz 2 0.5\nRZ 2 -0.0\nRZ 2 0.0\nRZ 2 -0.0\nMEASURE 1\nMEASURE 1\n")
+        expected = aq.Circuit(3).add("H", 0).add("CNOT", 0, 1).add("H", 0)
+        expected.add("RZ", 2, angle=0.5).add("H", 0).add("CNOT", 0, 1).add("RZ", 2, angle=0.5)
+        for angle in (-0.0, 0.0, -0.0):
+            expected.add("RZ", 2, angle=angle)
+        expected.add("MEASURE", 1).add("MEASURE", 1)
+        parsed = aq.parse_circuit(text)
+        assert parsed == expected
+        # -0.0 == 0.0, so compare the signs too.
+        assert ([math.copysign(1.0, i.angle) for i in parsed.instructions if i.angle is not None]
+                == [1, 1, -1, 1, -1])
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("qubits 2\nH 0\nCNOT 0 2\nH 0\nCNOT 0 2\n", 3, "operand 2 out of range"),
+        ("qubits 2\nFROB 0\nH 1\nFROB 0\n", 2, "unknown gate 'FROB'"),
+        ("qubits 2\nH 0\nqubits 2\n", 3, "unknown gate 'qubits'"),
+    ])
+    def test_repeated_bad_line_reports_its_first_line(self, text, line, message):
+        with pytest.raises(CircuitParseError, match=f"^line {line}: {message}") as info:
+            aq.parse_circuit(text)
+        assert info.value.line_no == line
 
     def test_bad_angle(self):
         with pytest.raises(CircuitParseError, match="angle"):

@@ -232,6 +232,15 @@ class TestTranspile:
         from aqmkit import parse_circuit
         assert parse_circuit(out).gate_counts() == {"CNOT": 3}
 
+    @pytest.mark.parametrize("profile", ["superconducting-transmon", "trapped-ion"])
+    def test_signed_zero_angles_kept_apart(self, tmp_path, profile):
+        circuit = tmp_path / "zeros.txt"
+        circuit.write_text("qubits 1\nRZ 0 0.0\nRZ 0 -0.0\nRZ 0 0.0\nRZ 0 -0.0\n")
+        code, out, _ = run_cli("transpile", str(circuit), "--profile", profile)
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("RZ")] == [
+            "RZ 0 0.0", "RZ 0 -0.0", "RZ 0 0.0", "RZ 0 -0.0"]
+
     def test_routed_cnot_seven_cnots(self, tmp_path):
         circuit = tmp_path / "far.txt"
         circuit.write_text("qubits 3\nCNOT 0 2\n")

@@ -1,5 +1,7 @@
 """Rewrite, approximation, routing, dilation, and cost passes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,29 @@ class TestRewrite:
         c = aq.Circuit(1).add("MEASURE", 0).add("RESET", 0)
         out = aq.rewrite_to_basis(c, DISCRETE_BASIS)
         assert out.instructions == c.instructions
+
+    def test_repeats_expand_as_when_alone(self):
+        # Each distinct instruction is expanded once per call; every repeat must
+        # still get the expansion it gets in a circuit of its own.
+        rng = np.random.default_rng(26)
+        for basis in (DISCRETE_BASIS, {"RX", "RY", "RZ", "CZ"}, {"H", "T", "CZ"}):
+            c = random_circuit(rng, 3, 30)
+            c.extend(list(c.instructions))
+            c.add("MEASURE", 1).add("MEASURE", 1)
+            out = aq.rewrite_to_basis(c, basis, defer_rotations=True)
+            alone = [step for inst in c.instructions
+                     for step in aq.rewrite_to_basis(aq.Circuit(3, [inst]), basis,
+                                                     defer_rotations=True).instructions]
+            assert out.instructions == alone
+
+    def test_signed_zero_angles_kept_apart(self):
+        # RZ 0 -0.0 == RZ 0 0.0 as instructions, yet each keeps its own sign.
+        c = aq.Circuit(1)
+        for angle in (0.0, -0.0, 0.0, -0.0):
+            c.add("RZ", 0, angle=angle)
+        for basis, defer in (({"RZ", "H"}, False), (DISCRETE_BASIS, True)):
+            out = aq.rewrite_to_basis(c, basis, defer_rotations=defer)
+            assert [math.copysign(1.0, i.angle) for i in out.instructions] == [1, -1, 1, -1]
 
 
 class TestApproximate:
@@ -186,6 +211,54 @@ class TestApproximate:
         result = aq.approximate_single_qubit(
             aq.ApproximationRequest(gates.rz(0.3), ("H", "S"), 0.01, 10))
         assert not result.achieved and len(result.word) <= 10
+
+    def test_search_stops_at_the_first_level_with_a_hit(self, monkeypatch):
+        monkeypatch.setattr(approx, "_CACHE", {})
+        alphabet = ("H", "S", "SDG", "T", "TDG", "X", "Y", "Z")
+        result = aq.approximate_single_qubit(aq.ApproximationRequest(
+            gates.rz(1.0), alphabet, 0.15, approx.MAX_APPROX_DEPTH))
+        assert result.word == ("T",) and result.achieved
+        assert len(approx._CACHE[alphabet].ends) - 1 <= 1
+
+    @staticmethod
+    def _full_table_search(enum, request):
+        """The search over every word up to max_depth at once."""
+        distances = enum.distances(request.target, 0, enum.ends[request.max_depth])
+        hits = distances <= request.epsilon
+        index = int(np.argmax(hits)) if hits.any() else int(np.argmin(distances))
+        return aq.ApproximationResult(enum.words[index], float(distances[index]),
+                                      bool(hits[index]))
+
+    @pytest.mark.parametrize("alphabet", [
+        ("H", "S", "T", "TDG"), ("H", "S", "SDG", "T", "TDG", "X", "Y", "Z")])
+    def test_early_stop_matches_full_table_search(self, monkeypatch, alphabet):
+        rng = np.random.default_rng(27)
+        full = approx._Enumeration(alphabet)
+        full.extend_to(8)
+        for _ in range(200):
+            request = aq.ApproximationRequest(
+                haar_unitary(rng), alphabet, float(rng.choice([0.02, 0.1, 0.2, 0.4])),
+                int(rng.integers(0, 9)))
+            expected = self._full_table_search(full, request)
+            monkeypatch.setattr(approx, "_CACHE", {})
+            fresh = aq.approximate_single_qubit(request)
+            monkeypatch.setattr(approx, "_CACHE", {alphabet: full})
+            assert aq.approximate_single_qubit(request) == fresh == expected
+
+    def test_level_distances_equal_full_distances(self):
+        # The search scores one level's slice at a time; each row must keep the
+        # bits it has when the whole table is scored at once.
+        rng = np.random.default_rng(28)
+        for alphabet in (("H", "S", "T", "TDG"), ("H", "S", "SDG", "T", "TDG", "X", "Y", "Z")):
+            enum = approx._Enumeration(alphabet)
+            enum.extend_to(10)
+            for _ in range(30):
+                target = haar_unitary(rng)
+                whole = enum.distances(target, 0, enum.ends[10])
+                for depth in range(11):
+                    start = enum.ends[depth - 1] if depth else 0
+                    level = enum.distances(target, start, enum.ends[depth])
+                    assert level.tobytes() == whole[start:enum.ends[depth]].tobytes()
 
     def test_depth_cap(self):
         aq.ApproximationRequest(gates.H, ("H",), 0.1, approx.MAX_APPROX_DEPTH)
@@ -367,6 +440,33 @@ class TestCost:
         c = aq.Circuit(2).add("CZ", 0, 1).add("CZ", 0, 1)
         assert (aq.estimate_cost(c, worse).fidelity_estimate
                 < aq.estimate_cost(c, transmon).fidelity_estimate)
+
+    def test_sums_in_instruction_order(self):
+        # Each distinct gate's spec is looked up once; the sum and the product
+        # still run in instruction order, so their bits are the plain loop's.
+        rng = np.random.default_rng(52)
+        for name in BUILTIN_PROFILE_NAMES:
+            profile = builtin_profile(name)
+            native = [spec for spec in profile.native_gates if spec.arity <= 2]
+            if not native:
+                continue
+            c = aq.Circuit(3)
+            for _ in range(60):
+                spec = native[int(rng.integers(len(native)))]
+                qubits = [int(q) for q in rng.choice(3, size=spec.arity, replace=False)]
+                angle = 0.5 if spec.gate in gates.ROTATION_GATES else None
+                if rng.random() < 0.1:
+                    c.add("MEASURE", qubits[0])
+                c.add(spec.gate, *qubits, angle=angle)
+            duration, product = 0.0, 1.0
+            for inst in c.instructions:
+                spec = (profile.measurement if inst.gate in gates.MARKERS
+                        else profile.gate_spec(inst.gate))
+                duration += spec.duration_ns
+                product *= spec.fidelity
+            cost = aq.estimate_cost(c, profile)
+            assert cost.total_duration_ns == duration
+            assert cost.gate_fidelity_product == product
 
     def test_non_native_gate_rejected(self):
         with pytest.raises(ValueError, match="not native"):

@@ -180,7 +180,41 @@ class TestApplyGate:
 
 
 class TestCircuitUnitary:
-    """circuit_unitary contracts each gate into the identity with apply_gate."""
+    """circuit_unitary fuses gates into two-qubit blocks and contracts each
+    block into the identity with apply_gate."""
+
+    # Gate runs on local qubits 0-2, each hitting one block transition.
+    _RUNS = [
+        [("H", (0,)), ("T", (0,)), ("RZ", (0,))],                         # 1q block grows
+        [("H", (0,)), ("CNOT", (0, 1))],                                   # widened by a pair
+        [("H", (1,)), ("CNOT", (0, 1))],                                   # ... pair reversed
+        [("H", (0,)), ("S", (1,)), ("CZ", (1, 0))],                        # widened by a 1q gate
+        [("CNOT", (0, 1)), ("CNOT", (1, 0)), ("SWAP", (1, 0))],            # pair, both orders
+        [("CZ", (0, 1)), ("H", (0,)), ("RY", (1,)), ("X", (1,))],          # 1q on either bit
+        [("CNOT", (0, 1)), ("H", (2,)), ("CNOT", (2, 0))],                 # a third qubit
+        [("H", (0,)), ("CNOT", (0, 1)), ("CCX", (0, 1, 2)), ("T", (2,))],  # CCX mid-run
+    ]
+
+    @classmethod
+    def _transition_circuit(cls, rng, n):
+        circuit = aq.Circuit(n)
+        for _ in range(int(rng.integers(1, 7))):
+            local = [int(q) for q in rng.choice(n, size=3, replace=False)]
+            for gate, qubits in cls._RUNS[int(rng.integers(len(cls._RUNS)))]:
+                angle = float(rng.uniform(-np.pi, np.pi)) if gate in gates.ROTATION_GATES else None
+                circuit.add(gate, *(local[q] for q in qubits), angle=angle)
+        return circuit
+
+    @staticmethod
+    def _counting_apply_gate(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return apply_gate(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "apply_gate", counting)
+        return calls
 
     @staticmethod
     def _random_circuit_with_ccx(rng, n):
@@ -199,6 +233,51 @@ class TestCircuitUnitary:
             circuit = self._random_circuit_with_ccx(rng, n)
             mine = aq.circuit_unitary(circuit)
             assert np.max(np.abs(mine - oracle_circuit_unitary(circuit))) < 1e-12
+
+    def test_every_block_transition_vs_kron_oracle(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(80):
+            circuit = self._transition_circuit(rng, int(rng.integers(3, 6)))
+            mine = aq.circuit_unitary(circuit)
+            assert np.max(np.abs(mine - oracle_circuit_unitary(circuit))) < 1e-12
+
+    @pytest.mark.parametrize("text, blocks", [
+        ("H 0\nCNOT 0 1\nH 1\nCZ 1 0", [(0, 1)]),
+        ("H 1\nCNOT 0 1\nT 0", [(1, 0)]),
+        ("CNOT 0 1\nH 2\nCNOT 2 0", [(0, 1), (2, 0)]),
+        ("H 0\nCNOT 0 1\nCCX 0 1 2\nT 2", [(0, 1), (0, 1, 2), (2,)]),
+        ("RZ 2 0.5\nX 2", [(2,)]),
+    ])
+    def test_one_contraction_per_block(self, monkeypatch, text, blocks):
+        calls = self._counting_apply_gate(monkeypatch)
+        circuit = aq.parse_circuit("qubits 3\n" + text + "\n")
+        mine = aq.circuit_unitary(circuit)
+        assert [tuple(targets) for targets in calls] == blocks
+        assert np.max(np.abs(mine - oracle_circuit_unitary(circuit))) < 1e-12
+
+    def test_first_fault_in_order_is_raised(self):
+        # A marker and an out-of-range target anywhere in a circuit: whichever
+        # comes first is reported, as gate-by-gate contraction would.
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(3, 6))
+            instructions = self._transition_circuit(rng, n).instructions
+            faults = {"MEASURE": aq.Instruction("MEASURE", (0,)),
+                      "RESET": aq.Instruction("RESET", (n - 1,)),
+                      "out of range": aq.Instruction("CNOT", (0, n))}
+            chosen = list(rng.permutation(list(faults)))[:int(rng.integers(1, 3))]
+            positions = sorted(int(p) for p in rng.integers(len(instructions) + 1,
+                                                           size=len(chosen)))
+            circuit = aq.Circuit(n, list(instructions))
+            for offset, (position, name) in enumerate(zip(positions, chosen)):
+                circuit.instructions.insert(position + offset, faults[name])
+            with pytest.raises(ValueError, match=chosen[0]):
+                aq.circuit_unitary(circuit)
+        # An out-of-range pair that fits the open block, then a marker.
+        circuit = aq.Circuit(2).add("H", 0)
+        circuit.instructions += [aq.Instruction("CZ", (0, 2)), aq.Instruction("MEASURE", (1,))]
+        with pytest.raises(ValueError, match="out of range"):
+            aq.circuit_unitary(circuit)
 
     def test_batched_apply_gate_matches_column_by_column(self):
         rng = np.random.default_rng(17)
