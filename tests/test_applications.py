@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 from contextlib import redirect_stdout
 from itertools import permutations, product
 
@@ -11,12 +12,13 @@ import pytest
 
 import aqmkit as aq
 from aqmkit import gates, mbqc
-from aqmkit.annealing import (MAX_ANNEAL_STEPS, MAX_SPINS, _energy, _step_unitary,
-                              build_annealing_hamiltonian)
+from aqmkit.annealing import (MAX_ANNEAL_STEPS, MAX_SPINS, _energy_terms, _hamming,
+                              _step_unitary, build_annealing_hamiltonian)
 from aqmkit.graphs import ConnectivityGraph
 from aqmkit.cli import main
 from aqmkit.simulate import apply_gate, embed_gate
-from oracles import kron_embed, oracle_place_inputs, oracle_reorder, random_state
+from oracles import (kron_embed, oracle_place_inputs, oracle_reorder, oracle_strang_anneal,
+                     random_state)
 
 
 def fine_step_anneal(problem, t_final, num_steps=50000):
@@ -123,12 +125,14 @@ class TestAnneal:
             problem = aq.IsingProblem(
                 n, tuple(rng.normal(size=n)),
                 tuple((i, j, float(rng.normal())) for i in range(n) for j in range(i + 1, n)))
-            diagonal = problem.cost_diagonal()
+            shape = (2 ** (n // 2), 2 ** (n - n // 2))
+            diagonal = problem.cost_diagonal().reshape(shape)
+            adjacency = [(_hamming(k) == 1).astype(float) for k in (n // 2, n - n // 2)]
             for lam0, lam1 in ((1.0, 0.0), (0.0, 1.0), (0.3, 0.7), (-1.2, 2.5)):
                 psi = aq.StateVector(random_state(rng, n))
                 dense = aq.expectation(psi, build_annealing_hamiltonian(problem, lam0, lam1))
-                matrix_free = _energy(psi.amplitudes.reshape((2,) * n), diagonal, lam0, lam1)
-                assert abs(matrix_free - dense) < 1e-12
+                mixer, cost = _energy_terms(psi.amplitudes.reshape(shape), diagonal, adjacency)
+                assert abs(-lam0 * mixer + lam1 * cost - dense) < 1e-12
 
     def test_max_spins_ring_matches_ode_oracle(self):
         """A 12-spin ring against scipy's DOP853 with the Hamiltonian applied matrix-free."""
@@ -175,6 +179,55 @@ class TestAnneal:
         bump = lambda t: 1 - t + 4 * t * (1 - t)  # noqa: E731 (exact endpoints, not monotone)
         with pytest.raises(ValueError, match="non-increasing"):
             aq.AnnealSchedule(1.0, 10, bump, lambda t: t)
+
+    def test_nan_at_a_step_midpoint_is_rejected(self):
+        # The grid 0, 1/4, ..., 1 is finite and monotone, so the schedule is
+        # accepted; the first step's midpoint 1/8 is not on it.
+        lam1 = lambda t: math.nan if t == 0.125 else t  # noqa: E731
+        schedule = aq.AnnealSchedule(1.0, 4, lambda t: 1 - t, lam1)
+        with pytest.raises(ValueError, match="schedule values must be finite"):
+            aq.anneal(aq.IsingProblem(2, (0.3, -0.7), ((0, 1, 0.5),)), schedule)
+
+    @pytest.mark.parametrize("t_final, steps", [(1.0, 49), (1e-320, 3)])
+    def test_trace_ends_at_t_final(self, t_final, steps):
+        """(k + 1) dt misses t_final at 49 steps; at 1e-320 dt is subnormal."""
+        problem = aq.IsingProblem(3, (0.4, -1.0, 0.2), ((0, 1, 0.5), (1, 2, -0.8)))
+        result = aq.anneal(problem, aq.AnnealSchedule(t_final, steps))
+        assert result.times[-1] == t_final and len(result.times) == steps + 1
+        final = aq.expectation(result.final_state, build_annealing_hamiltonian(problem, 0, 1))
+        assert abs(result.energies[-1] - final) < 1e-12
+
+
+def _problem(n, couplings, rng):
+    pairs = ([(i, (i + 1) % n) for i in range(n)] if couplings == "ring" and n > 2
+             else [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return aq.IsingProblem(n, tuple(rng.normal(size=n)),
+                           tuple((i, j, float(rng.normal())) for i, j in pairs))
+
+
+def _schedules():
+    yield aq.AnnealSchedule(1.0, 49)
+    yield aq.AnnealSchedule(3.0, 37, lambda t: (1 - t / 3.0) ** 2,
+                            lambda t: math.sin(math.pi * t / 6.0))
+    yield aq.AnnealSchedule(0.0, 5)
+
+
+class TestAnnealVsStrangOracle:
+    """The two-block-product engine against the per-axis Strang loop."""
+
+    @pytest.mark.parametrize("couplings", ["ring", "all"])
+    @pytest.mark.parametrize("n", range(1, MAX_SPINS + 1))
+    def test_matches_per_axis_loop(self, n, couplings):
+        problem = _problem(n, couplings, np.random.default_rng(100 * n + len(couplings)))
+        for schedule in _schedules():
+            result, oracle = aq.anneal(problem, schedule), oracle_strang_anneal(problem, schedule)
+            assert np.max(np.abs(result.final_state.amplitudes
+                                 - oracle.final_state.amplitudes)) <= 1e-12
+            assert np.all(np.abs(result.energies - oracle.energies)
+                          <= 1e-12 * (1 + np.abs(oracle.energies)))
+            assert np.array_equal(result.times[:-1], oracle.times[:-1])
+            assert result.times[-1] == schedule.t_final
+            assert abs(oracle.times[-1] - schedule.t_final) <= 1e-15 * schedule.t_final
 
 
 class TestAnnealSuccess:
