@@ -21,7 +21,7 @@ and `evolve` exponentiates any dense H exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -110,13 +110,15 @@ class AnnealSchedule:
     """Ramps lam0: 1 -> 0 and lam1: 0 -> 1 over [0, t_final], both monotone.
 
     t_final = 0 is the quench limit: no evolution happens and the endpoint
-    conditions are vacuous.
+    conditions are vacuous. `grid_values` holds (lam0, lam1) at the
+    num_steps + 1 grid times the checks read, for `anneal` to reuse.
     """
 
     t_final: float
     num_steps: int
     lambda0: Callable[[float], float] | None = None
     lambda1: Callable[[float], float] | None = None
+    grid_values: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.t_final < 0:
@@ -129,18 +131,21 @@ class AnnealSchedule:
         if self.lambda1 is None:
             object.__setattr__(self, "lambda1", lambda t: t / self.t_final)
         if self.t_final == 0:
+            # The quench stays on the mixer.
+            object.__setattr__(self, "grid_values", np.array([[1.0], [0.0]]))
             return
-        lam0, lam1 = self.lambda0, self.lambda1
-        if not (lam0(0.0) == 1.0 and lam1(0.0) == 0.0
-                and lam0(self.t_final) == 0.0 and lam1(self.t_final) == 1.0):
+        grid = np.linspace(0.0, self.t_final, self.num_steps + 1).tolist()
+        values0, values1 = values = np.array(
+            [np.fromiter(map(lam, grid), float, len(grid)) for lam in (self.lambda0, self.lambda1)])
+        if not (values0[0] == 1.0 and values1[0] == 0.0
+                and values0[-1] == 0.0 and values1[-1] == 1.0):
             raise ValueError("schedule endpoints must satisfy lam0: 1->0, lam1: 0->1")
-        grid = np.linspace(0.0, self.t_final, self.num_steps + 1)
-        values0 = [lam0(t) for t in grid]
-        values1 = [lam1(t) for t in grid]
-        if any(b > a + 1e-12 for a, b in zip(values0, values0[1:])):
+        if np.any(values0[1:] > values0[:-1] + 1e-12):
             raise ValueError("lambda0 must be non-increasing")
-        if any(b < a - 1e-12 for a, b in zip(values1, values1[1:])):
+        if np.any(values1[1:] < values1[:-1] - 1e-12):
             raise ValueError("lambda1 must be non-decreasing")
+        values.setflags(write=False)
+        object.__setattr__(self, "grid_values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,15 +210,12 @@ def anneal(problem: IsingProblem, schedule: AnnealSchedule) -> AnnealResult:
     steps = schedule.num_steps if schedule.t_final > 0 else 0
     dt = schedule.t_final / schedule.num_steps
     times = np.linspace(0.0, schedule.t_final, steps + 1)
-    if steps:
-        points = np.concatenate([times, (np.arange(steps) + 0.5) * dt]).tolist()
-        values = np.array([np.fromiter(map(lam, points), float, len(points))
-                           for lam in (schedule.lambda0, schedule.lambda1)])
-        if not np.isfinite(values).all():
-            raise ValueError("schedule values must be finite")
-    else:
-        values = np.array([[1.0], [0.0]])  # the quench stays on the mixer
-    grid, midpoints = values[:, :steps + 1], values[:, steps + 1:]
+    grid = schedule.grid_values
+    points = ((np.arange(steps) + 0.5) * dt).tolist()
+    midpoints = np.array([np.fromiter(map(lam, points), float, steps)
+                          for lam in (schedule.lambda0, schedule.lambda1)])
+    if not (np.isfinite(grid).all() and np.isfinite(midpoints).all()):
+        raise ValueError("schedule values must be finite")
     angles = midpoints[0] * dt
     row_table = _mixer_table(angles, sides[0])
     column_table = row_table if sides[0] == sides[1] else _mixer_table(angles, sides[1])

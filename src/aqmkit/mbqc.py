@@ -21,7 +21,7 @@ from . import gates
 from ._fields import (read_integer, read_json, read_list, read_number, read_object,
                       read_qubits, read_string)
 from .graphs import ConnectivityGraph
-from .simulate import MAX_SIM_QUBITS, apply_gate
+from .simulate import MAX_SIM_QUBITS, apply_gate, generator, pick
 from .state import StateVector
 
 # Most nodes `parse_pattern` accepts. The register holds 2**nodes amplitudes,
@@ -158,8 +158,7 @@ def mbqc_execute(pattern: MeasurementPattern, input_state: StateVector | None = 
     `forced_outcomes` fixes the outcome sequence (for branch enumeration in
     tests); otherwise outcomes are sampled with the seeded generator.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    rng = generator(seed, rng)
     n = pattern.graph.num_qubits
     amps = _initial_register(pattern, input_state)
     _entangle(amps, pattern.graph.edges, n)
@@ -176,7 +175,7 @@ def mbqc_execute(pattern: MeasurementPattern, input_state: StateVector | None = 
         if forced_outcomes is not None:
             outcome = int(forced_outcomes[index])
         else:
-            outcome = 1 if rng.random() >= p_plus else 0
+            outcome = pick((p_plus, 1.0 - p_plus), rng)
         if outcome == 0:
             prob, projected = p_plus, projected_plus
         else:

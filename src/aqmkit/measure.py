@@ -2,7 +2,8 @@
 
 A measurement on n qubits is a set of 2^n x 2^n operators {m_k} with
 sum_k m_k^dag m_k = I. Outcome k occurs with probability <psi|m_k^dag m_k|psi>
-and leaves the state m_k|psi> / sqrt(p_k).
+and leaves the state m_k|psi> / sqrt(p_k). The outcome is drawn by
+``simulate.pick``, the rule every measurement branch in the package uses.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simulate import MeasurementRecord, ZERO_PROB
+from .simulate import MeasurementRecord, ZERO_PROB, generator, pick
 from .state import StateVector
 
 COMPLETENESS_TOL = 1e-9
@@ -105,24 +106,12 @@ def draw_branch(rows: list[np.ndarray], seed: int = 0,
                 ) -> tuple[int, float, StateVector]:
     """Sample one unnormalized branch by probability: (index, probability, post-state).
 
-    Branches below ZERO_PROB are never drawn. One ``rng.random()`` per draw,
-    scaled to the live probability mass and walked along its cumulative sum;
-    only the drawn branch is normalized into a ``StateVector``.
+    ``pick`` draws the index from the rows' squared norms; only the drawn
+    branch is normalized into a ``StateVector``.
     """
-    probs = np.array([_probability(row) for row in rows])
-    live = np.flatnonzero(probs >= ZERO_PROB)
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-    r = rng.random() * float(np.sum(probs[live]))
-    cumulative = 0.0
-    index = int(live[-1])
-    for k in live:
-        cumulative += probs[k]
-        if r < cumulative:
-            index = int(k)
-            break
-    prob = float(probs[index])
-    return index, prob, StateVector(rows[index] / np.sqrt(prob))
+    probs = [_probability(row) for row in rows]
+    index = pick(probs, generator(seed, rng))
+    return index, probs[index], StateVector(rows[index] / np.sqrt(probs[index]))
 
 
 def apply_measurement(mset: MeasurementOperatorSet, state: StateVector, seed: int = 0,

@@ -135,13 +135,16 @@ def rewrite_to_basis(circuit: Circuit, native_gate_names,
     # Each distinct instruction is expanded once; Instruction is frozen, so the
     # expansions are shared. Rotations skip the memo: they are only ever kept
     # or deferred, and RZ 0 -0.0 == RZ 0 0.0 would merge their angles' signs.
+    # An expansion acts only on its source's operands, so only the source's
+    # range is checked.
     expansions: dict[Instruction, list[Instruction]] = {}
     for inst in circuit.instructions:
+        result._check_range(inst)
         if inst.angle is not None:
-            result.extend(_rewrite_instruction(inst, native, defer_rotations))
+            result.instructions.extend(_rewrite_instruction(inst, native, defer_rotations))
             continue
         expansion = expansions.get(inst)
         if expansion is None:
             expansion = expansions[inst] = _rewrite_instruction(inst, native, defer_rotations)
-        result.extend(expansion)
+        result.instructions.extend(expansion)
     return result

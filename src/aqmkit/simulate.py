@@ -9,9 +9,10 @@ each block (and each CCX) is contracted into the identity once.
 ``embed_gate`` builds the explicit 2^n-dimensional operator when a dense
 matrix is wanted (oracles, routing checks). Gate matrices are unitary by construction (a read-only
 table, finite angles) and are not re-checked.
-MEASURE samples a computational basis outcome for one qubit with the seeded
-generator and collapses the state, reading and zeroing the qubit's halves
-through the strided view ``amps.reshape(-1, 2, 2**q)``; RESET performs
+``pick`` draws every single measurement outcome, here and in ``measure`` and
+``mbqc``. MEASURE draws a computational basis outcome for one qubit and
+collapses the state, reading and zeroing the qubit's halves through the
+strided view ``amps.reshape(-1, 2, 2**q)``; RESET performs
 initialization-by-measurement to |0> (a measurement whose every branch leaves
 the qubit in |0>).
 
@@ -19,7 +20,9 @@ the qubit in |0>).
 walk carries a branch and its shot count, splits the count with one
 binomial draw at each MEASURE or RESET, and draws each branch's trailing
 MEASUREs from one multinomial. A circuit whose MEASUREs are all terminal is
-the walk with no split: one simulation and one multinomial.
+the walk with no split: one simulation and one multinomial. A pending
+sibling that did not fit in MAX_PENDING_BYTES is rebuilt by the same walk
+from |0...0> with its outcomes forced.
 """
 
 from __future__ import annotations
@@ -51,6 +54,29 @@ class MeasurementRecord:
     probability: float
     post_state: StateVector
     qubit: int | None = None
+
+
+def generator(seed: int, rng: np.random.Generator | None) -> np.random.Generator:
+    """`rng`, or a fresh PCG64 generator seeded with `seed` when it is None."""
+    return np.random.Generator(np.random.PCG64(seed)) if rng is None else rng
+
+
+def pick(probs, rng: np.random.Generator) -> int:
+    """Draw an outcome index with probability `probs[k]` from one ``rng.random()``.
+
+    Outcomes below ZERO_PROB are never drawn. The draw is scaled to the live
+    probability mass and walked along its cumulative sum, so on two live
+    outcomes (p, 1 - p) it picks outcome 1 exactly when the draw is >= p.
+    """
+    probs = np.asarray(probs, dtype=float)
+    live = np.flatnonzero(probs >= ZERO_PROB)
+    r = rng.random() * float(np.sum(probs[live]))
+    cumulative = 0.0
+    for k in live:
+        cumulative += probs[k]
+        if r < cumulative:
+            return int(k)
+    return int(live[-1])
 
 
 def _spread(value: int, positions) -> int:
@@ -140,51 +166,35 @@ def _collapse(amps: np.ndarray, qubit: int, outcome: int, prob: float) -> np.nda
     return post
 
 
-def _measure_bit(amps: np.ndarray, qubit: int,
-                 rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
-    """Sample qubit's Z outcome, collapse and renormalize. Returns (j, p_j, amps)."""
-    p1 = _one_probability(amps, qubit)
-    p0 = 1.0 - p1
-    if p0 < ZERO_PROB:
-        outcome = 1
-    elif p1 < ZERO_PROB:
-        outcome = 0
-    else:
-        outcome = 1 if rng.random() >= p0 else 0
-    prob = p1 if outcome == 1 else p0
-    return outcome, prob, _collapse(amps, qubit, outcome, prob)
-
-
 def apply_circuit(circuit: Circuit, initial: StateVector | None = None, seed: int = 0,
                   rng: np.random.Generator | None = None,
                   ) -> tuple[StateVector, list[MeasurementRecord]]:
     """Run a circuit, returning the final state and MEASURE records in order.
 
-    Unitary instructions apply in sequence; MEASURE samples with the seeded
-    PCG64 generator (pass `rng` to share a stream across runs); RESET
-    re-initializes its qubit to |0> by measurement and leaves no record.
+    Unitary instructions apply in sequence; MEASURE and RESET each draw one
+    outcome with ``pick`` from the seeded PCG64 generator (pass `rng` to
+    share a stream across runs); RESET re-initializes its qubit to |0> by
+    measurement and leaves no record.
     """
     if initial is None:
         initial = basis_state(circuit.num_qubits, 0)
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError(
             f"state has {initial.num_qubits} qubit(s), circuit has {circuit.num_qubits}")
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    rng = generator(seed, rng)
 
     n = circuit.num_qubits
     amps = np.array(initial.amplitudes, dtype=complex)
     records: list[MeasurementRecord] = []
     for inst in circuit.instructions:
-        if inst.gate == "MEASURE":
-            q = inst.qubits[0]
-            outcome, prob, amps = _measure_bit(amps, q, rng)
-            records.append(MeasurementRecord(outcome, prob, StateVector(amps), qubit=q))
-        elif inst.gate == "RESET":
-            q = inst.qubits[0]
-            outcome, _, amps = _measure_bit(amps, q, rng)
-            if outcome == 1:
-                amps = apply_gate(amps, gates.X, [q], n)
+        if inst.gate in gates.MARKERS:
+            p1 = _one_probability(amps, inst.qubits[0])
+            probs = (1.0 - p1, p1)
+            outcome = pick(probs, rng)
+            amps = _branch(amps, outcome, probs[outcome], inst, n)
+            if inst.gate == "MEASURE":
+                records.append(MeasurementRecord(outcome, probs[outcome], StateVector(amps),
+                                                 qubit=inst.qubits[0]))
         else:
             matrix = gates.gate_matrix(inst.gate, inst.angle)
             amps = apply_gate(amps, matrix, inst.qubits, n)
@@ -201,26 +211,6 @@ def _branch(amps: np.ndarray, outcome: int, prob: float, inst: Instruction,
     amps = StateVector(_collapse(amps, inst.qubits[0], outcome, prob)).amplitudes
     if inst.gate == "RESET" and outcome == 1:
         amps = apply_gate(amps, gates.X, inst.qubits, num_qubits)
-    return amps
-
-
-def _replay(prefix: list[Instruction], outcomes: tuple[int, ...],
-            num_qubits: int) -> np.ndarray:
-    """Re-run `prefix` from |0...0> with its MEASURE/RESET outcomes forced.
-
-    Draws no random numbers and repeats the walk's arithmetic, so the rebuilt
-    branch is bit-identical to the one the walk would have stored.
-    """
-    amps = basis_state(num_qubits, 0).amplitudes
-    forced = iter(outcomes)
-    for inst in prefix:
-        if inst.gate in gates.MARKERS:
-            outcome = next(forced)
-            p1 = _one_probability(amps, inst.qubits[0])
-            amps = _branch(amps, outcome, p1 if outcome else 1.0 - p1, inst, num_qubits)
-        else:
-            matrix = gates.gate_matrix(inst.gate, inst.angle)
-            amps = apply_gate(amps, matrix, inst.qubits, num_qubits)
     return amps
 
 
@@ -263,8 +253,9 @@ def sample_counts(circuit: Circuit, shots: int,
     circuit per shot.
 
     Pending siblings hold at most MAX_PENDING_BYTES of amplitudes; past that,
-    a sibling is kept as its outcome list and rebuilt by ``_replay``, which
-    draws nothing, so the histogram is the same either way.
+    a sibling is kept as its outcome list alone. The walk rebuilds it from
+    |0...0> with those outcomes forced, drawing nothing until they run out,
+    so the histogram is the same either way.
     """
     instructions = circuit.instructions
     n = circuit.num_qubits
@@ -279,9 +270,11 @@ def sample_counts(circuit: Circuit, shots: int,
     # (next instruction, shots, outcomes so far, amplitudes or None to replay)
     stack: list[tuple[int, int, tuple[int, ...], np.ndarray | None]] = [(0, shots, (), None)]
     while stack:
-        start, k, outcomes, amps = stack.pop()
+        start, k, forced, amps = stack.pop()
+        outcomes = forced
         if amps is None:
-            amps = _replay(instructions[:start], outcomes, n)
+            # Replay: walk again from the start, taking the forced outcomes.
+            start, outcomes, amps = 0, (), basis_state(n, 0).amplitudes
         else:
             pending_bytes -= amps.nbytes
         for i in range(start, leaf):
@@ -292,7 +285,10 @@ def sample_counts(circuit: Circuit, shots: int,
                 continue
             p1 = _one_probability(amps, inst.qubits[0])
             p0 = 1.0 - p1
-            ones = k if p0 < ZERO_PROB else 0 if p1 < ZERO_PROB else int(rng.binomial(k, p1))
+            if len(outcomes) < len(forced):
+                ones = k * forced[len(outcomes)]
+            else:
+                ones = k if p0 < ZERO_PROB else 0 if p1 < ZERO_PROB else int(rng.binomial(k, p1))
             if 0 < ones < k:
                 sibling = None
                 if pending_bytes + amps.nbytes <= MAX_PENDING_BYTES:

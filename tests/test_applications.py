@@ -188,6 +188,22 @@ class TestAnneal:
         with pytest.raises(ValueError, match="schedule values must be finite"):
             aq.anneal(aq.IsingProblem(2, (0.3, -0.7), ((0, 1, 0.5),)), schedule)
 
+    def test_schedule_evaluated_once_per_point(self):
+        # The schedule evaluates the grid for its checks; anneal reuses those
+        # values and evaluates only the step midpoints.
+        seen = []
+
+        def lam1(t):
+            seen.append(t)
+            return t / 2.0
+
+        schedule = aq.AnnealSchedule(2.0, 8, lambda t: 1 - t / 2.0, lam1)
+        assert seen == [k / 4 for k in range(9)]
+        seen.clear()
+        result = aq.anneal(aq.IsingProblem(2, (0.3, -0.7), ((0, 1, 0.5),)), schedule)
+        assert seen == [(k + 0.5) / 4 for k in range(8)]
+        assert result.times.tolist() == [k / 4 for k in range(9)]
+
     @pytest.mark.parametrize("t_final, steps", [(1.0, 49), (1e-320, 3)])
     def test_trace_ends_at_t_final(self, t_final, steps):
         """(k + 1) dt misses t_final at 49 steps; at 1e-320 dt is subnormal."""

@@ -460,6 +460,23 @@ class TestOtherCommands:
         second = run_cli("mbqc", "--euler", "0.1", "0.2", "0.3", "--seed", "5", "--json")
         assert first == second and first[0] == 0
 
+    def test_seeded_stdout_pinned(self, tmp_path):
+        # Seeded stdout is part of the CLI contract: these bytes must not move
+        # when the code that draws the outcomes is reorganized.
+        code, out, _ = run_cli("mbqc", "--euler", "0.3", "1.1", "-0.7", "--seed", "5")
+        assert code == 0 and out == (
+            "outcomes: {'0': 1, '1': 1, '2': 1, '3': 0}\n"
+            "byproduct: {'4': {'x': 1, 'z': 0}}\n"
+            "output amplitudes:\n"
+            "  |0> -0.028339+0.460577j\n"
+            "  |1> -0.767371+0.445206j\n")
+        circuit = tmp_path / "mid.txt"
+        circuit.write_text("qubits 3\nH 0\nMEASURE 0\nCNOT 0 1\nH 2\nMEASURE 2\nRESET 0\n"
+                           "RY 1 0.7\nMEASURE 1\nMEASURE 0\n")
+        code, out, _ = run_cli("simulate", str(circuit), "--shots", "1000", "--seed", "7")
+        assert code == 0 and out == (
+            "0000 226\n0010 27\n0100 212\n0110 35\n1000 21\n1010 247\n1100 25\n1110 207\n")
+
     def test_mbqc_pattern_file(self, tmp_path):
         pattern = tmp_path / "teleport.json"
         pattern.write_text(json.dumps({

@@ -88,6 +88,15 @@ class TestRewrite:
         out = aq.rewrite_to_basis(c, DISCRETE_BASIS)
         assert out.instructions == c.instructions
 
+    def test_out_of_range_source_raises(self):
+        # Only source instructions are range-checked; one appended past
+        # Circuit's own checks must still be refused.
+        c = aq.Circuit(2).add("H", 0)
+        c.instructions.append(aq.Instruction("CNOT", (0, 2)))
+        for basis in (DISCRETE_BASIS, {"H", "T", "CZ"}):
+            with pytest.raises(aq.CircuitError, match="operand 2 out of range"):
+                aq.rewrite_to_basis(c, basis)
+
     def test_repeats_expand_as_when_alone(self):
         # Each distinct instruction is expanded once per call; every repeat must
         # still get the expansion it gets in a circuit of its own.

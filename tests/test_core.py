@@ -410,6 +410,32 @@ class TestApplyCircuit:
         with pytest.raises(ValueError, match="qubit"):
             aq.apply_circuit(aq.Circuit(2).add("H", 0), aq.basis_state(1, 0))
 
+    def test_seeded_records_pinned(self):
+        # Every MEASURE and RESET draws once with simulate.pick, also when one
+        # outcome is dead: in the second circuit, X 0 makes MEASURE 0 and
+        # RESET 0 certain, yet each takes a draw before MEASURE 1 does.
+        random_only = aq.parse_circuit(
+            "qubits 2\nH 0\nCNOT 0 1\nRY 0 0.7\nMEASURE 0\nH 1\nMEASURE 1\n"
+            "RX 0 1.1\nRESET 0\nH 0\nMEASURE 0\n")
+        deterministic = aq.parse_circuit(
+            "qubits 2\nX 0\nMEASURE 0\nRESET 0\nH 1\nMEASURE 1\nMEASURE 0\n")
+        pinned = [
+            (random_only,
+             [(0, 1, 1), (0, 1, 0), (1, 0, 1), (0, 1, 1), (0, 1, 0), (0, 1, 0), (1, 0, 1),
+              (0, 1, 0)],
+             [(0, 0, 0.5000000000000001), (1, 1, 0.822108843618845), (0, 0, 0.5000000000000001)]),
+            (deterministic,
+             [(1, 1, 0), (1, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 0), (1, 0, 0), (1, 0, 0),
+              (1, 0, 0)],
+             [(0, 1, 1.0), (1, 1, 0.4999999999999999), (0, 0, 1.0)]),
+        ]
+        for circuit, shots, records in pinned:
+            rng = np.random.Generator(np.random.PCG64(3))
+            assert [tuple(r.outcome_index for r in aq.apply_circuit(circuit, rng=rng)[1])
+                    for _ in range(8)] == shots
+            assert [(r.qubit, r.outcome_index, r.probability)
+                    for r in aq.apply_circuit(circuit, seed=11)[1]] == records
+
     def test_mid_circuit_measurement_feeds_later_gates(self):
         # Measure one half of a Bell pair, then rotate the other: the final
         # state must match collapsing first and rotating the survivor.

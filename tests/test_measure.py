@@ -1,10 +1,15 @@
 """General measurement sets, sampling, and initialization-by-measurement."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import aqmkit as aq
 from aqmkit import measure
+from aqmkit.simulate import ZERO_PROB, pick
 from oracles import random_measurement_set, random_state
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -193,3 +198,48 @@ class TestInitializeViaMeasurement:
         for seed in range(10):
             out = aq.initialize_via_measurement(target, source, seed=seed)
             assert aq.fidelity(out, target) >= 1 - 1e-12
+
+
+class FixedDraw:
+    """A generator stand-in whose random() returns `u` and counts its calls."""
+
+    def __init__(self, u: float):
+        self.u = u
+        self.calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return self.u
+
+
+def _step(x: float, ulps: int) -> float:
+    """x moved by `ulps` units in the last place (down when negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# Any probability, plus a few ulps around 0, ZERO_PROB, 1/2, 1 - ZERO_PROB and
+# 1, up to one ulp above 1 (a squared norm can round there).
+PROBABILITIES = st.floats(0.0, 1.0) | st.builds(
+    _step, st.sampled_from([0.0, ZERO_PROB, 0.5, 1.0 - ZERO_PROB, 1.0]),
+    st.integers(-3, 3)).filter(lambda p: 0.0 <= p <= math.nextafter(1.0, 2.0))
+DRAWS = st.floats(0.0, 1.0, exclude_max=True)
+
+
+class TestOneSampler:
+    @given(PROBABILITIES, DRAWS)
+    def test_two_outcomes_decide_as_the_bit_rules_did(self, p, u):
+        # The rule MEASURE and RESET used: (1 - p1, p1), a dead outcome never
+        # drawn, else outcome 1 when u >= p0.
+        p0 = 1.0 - p
+        circuit_rule = 1 if p0 < ZERO_PROB else 0 if p < ZERO_PROB else int(u >= p0)
+        draw = FixedDraw(u)
+        assert pick((1.0 - p, p), draw) == circuit_rule
+        assert draw.calls == 1
+        # The rule MBQC used: (p_plus, 1 - p_plus), outcome 1 when u >= p_plus.
+        # It raised when the drawn outcome had probability below 1e-12, so
+        # only the draws it kept are compared.
+        mbqc_rule = int(u >= p)
+        if (p, 1.0 - p)[mbqc_rule] >= 1e-12:
+            assert pick((p, 1.0 - p), FixedDraw(u)) == mbqc_rule

@@ -180,13 +180,15 @@ class TestSampleCounts:
         circuit = mid_circuit_circuits()[18]
         uncapped = sample_counts(circuit, 3000, rng(4))
         replays = []
-        original = simulate._replay
+        original = simulate.basis_state
 
         def counting(*args, **kwargs):
             replays.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_replay", counting)
+        # The walk starts from |0...0> once for the root branch and once for
+        # every sibling it rebuilds by replaying its outcomes.
+        monkeypatch.setattr(simulate, "basis_state", counting)
         monkeypatch.setattr(simulate, "MAX_PENDING_BYTES", 0)
         capped = sample_counts(circuit, 3000, rng(4))
         assert len(replays) > 1  # every pending sibling was rebuilt by replay
