@@ -101,7 +101,3 @@ def builtin_demand(name: str) -> DemandProfile:
         raise KeyError(
             f"unknown demand {name!r}; available: {', '.join(BUILTIN_DEMAND_NAMES)}")
     return _BUILTIN_DEMANDS[name]
-
-
-def all_builtin_demands() -> list[DemandProfile]:
-    return [_BUILTIN_DEMANDS[name] for name in BUILTIN_DEMAND_NAMES]

@@ -292,7 +292,3 @@ def builtin_profile(name: str) -> DeviceProfile:
         raise KeyError(
             f"unknown profile {name!r}; available: {', '.join(BUILTIN_PROFILE_NAMES)}")
     return profile_from_dict(_BUILTIN_DATA[name])
-
-
-def all_builtin_profiles() -> list[DeviceProfile]:
-    return [builtin_profile(name) for name in BUILTIN_PROFILE_NAMES]

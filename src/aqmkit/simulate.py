@@ -2,10 +2,10 @@
 
 ``apply_gate`` is the one kernel that applies a gate: it transposes the
 target qubits' axes of the reshaped amplitude array to the front and
-multiplies them by the gate in one matrix product. ``circuit_unitary`` also
-uses it, treating the identity's columns as a batch: runs of gates that stay
-within two qubits are first fused into one 4x4 block by small products, and
-each block (and each CCX) is contracted into the identity once.
+multiplies them by the gate in one matrix product. ``_fused`` is the one
+gate fusion: runs of gates within two qubits become one 4x4 block, and
+``apply_circuit``, the ``sample_counts`` walk and ``circuit_unitary`` (the
+identity's columns as a batch) all apply its blocks with ``apply_gate``.
 ``embed_gate`` builds the explicit 2^n-dimensional operator when a dense
 matrix is wanted (oracles, routing checks). Gate matrices are unitary by construction (a read-only
 table, finite angles) and are not re-checked.
@@ -171,7 +171,7 @@ def apply_circuit(circuit: Circuit, initial: StateVector | None = None, seed: in
                   ) -> tuple[StateVector, list[MeasurementRecord]]:
     """Run a circuit, returning the final state and MEASURE records in order.
 
-    Unitary instructions apply in sequence; MEASURE and RESET each draw one
+    Gates apply as the blocks of ``_fused``; MEASURE and RESET each draw one
     outcome with ``pick`` from the seeded PCG64 generator (pass `rng` to
     share a stream across runs); RESET re-initializes its qubit to |0> by
     measurement and leaves no record.
@@ -186,32 +186,32 @@ def apply_circuit(circuit: Circuit, initial: StateVector | None = None, seed: in
     n = circuit.num_qubits
     amps = np.array(initial.amplitudes, dtype=complex)
     records: list[MeasurementRecord] = []
-    for inst in circuit.instructions:
-        if inst.gate in gates.MARKERS:
-            p1 = _one_probability(amps, inst.qubits[0])
-            probs = (1.0 - p1, p1)
-            outcome = pick(probs, rng)
-            amps = _branch(amps, outcome, probs[outcome], inst, n)
-            if inst.gate == "MEASURE":
-                records.append(MeasurementRecord(outcome, probs[outcome], StateVector(amps),
-                                                 qubit=inst.qubits[0]))
-        else:
-            matrix = gates.gate_matrix(inst.gate, inst.angle)
-            amps = apply_gate(amps, matrix, inst.qubits, n)
+    for step in _fused(circuit.instructions):
+        if not isinstance(step, Instruction):
+            amps = apply_gate(amps, *step, n)
+            continue
+        p1 = _one_probability(amps, step.qubits[0])
+        probs = (1.0 - p1, p1)
+        outcome = pick(probs, rng)
+        branch = _branch(amps, outcome, probs[outcome], step, n)
+        amps = branch.amplitudes
+        if step.gate == "MEASURE":
+            records.append(MeasurementRecord(outcome, probs[outcome], branch,
+                                             qubit=step.qubits[0]))
     return StateVector(amps), records
 
 
 def _branch(amps: np.ndarray, outcome: int, prob: float, inst: Instruction,
-            num_qubits: int) -> np.ndarray:
+            num_qubits: int) -> StateVector:
     """The branch of MEASURE or RESET `inst` that read `outcome` (probability `prob`).
 
-    The collapsed state goes through ``StateVector``, so a non-finite or
-    unnormalized branch raises; RESET then flips an outcome-1 branch to |0>.
+    RESET flips an outcome-1 branch to |0>. The branch is returned as a
+    ``StateVector``, so a non-finite or unnormalized one raises.
     """
-    amps = StateVector(_collapse(amps, inst.qubits[0], outcome, prob)).amplitudes
+    amps = _collapse(amps, inst.qubits[0], outcome, prob)
     if inst.gate == "RESET" and outcome == 1:
         amps = apply_gate(amps, gates.X, inst.qubits, num_qubits)
-    return amps
+    return StateVector(amps)
 
 
 def _draw_suffix(state: StateVector, suffix: list[Instruction], shots: int,
@@ -249,7 +249,7 @@ def sample_counts(circuit: Circuit, shots: int,
     pending per split level. Once only MEASUREs remain, the branch's shots
     come from one multinomial over their marginal. A terminal-MEASURE circuit
     never splits: one simulation, one multinomial. There are never more
-    branches than shots, so no more gates are applied than by re-running the
+    branches than shots, so no more blocks are applied than by re-running the
     circuit per shot.
 
     Pending siblings hold at most MAX_PENDING_BYTES of amplitudes; past that,
@@ -262,12 +262,12 @@ def sample_counts(circuit: Circuit, shots: int,
     leaf = max((i + 1 for i, inst in enumerate(instructions) if inst.gate != "MEASURE"),
                default=0)
     suffix = instructions[leaf:]
+    steps = list(_fused(instructions[:leaf]))
     # Which MEASURE/RESET outcomes before `leaf` write a record bit.
-    recorded = [inst.gate == "MEASURE" for inst in instructions[:leaf]
-                if inst.gate in gates.MARKERS]
+    recorded = [step.gate == "MEASURE" for step in steps if isinstance(step, Instruction)]
     counts: dict[str, int] = {}
     pending_bytes = 0
-    # (next instruction, shots, outcomes so far, amplitudes or None to replay)
+    # (next step, shots, outcomes so far, amplitudes or None to replay)
     stack: list[tuple[int, int, tuple[int, ...], np.ndarray | None]] = [(0, shots, (), None)]
     while stack:
         start, k, forced, amps = stack.pop()
@@ -277,13 +277,12 @@ def sample_counts(circuit: Circuit, shots: int,
             start, outcomes, amps = 0, (), basis_state(n, 0).amplitudes
         else:
             pending_bytes -= amps.nbytes
-        for i in range(start, leaf):
-            inst = instructions[i]
-            if inst.gate not in gates.MARKERS:
-                matrix = gates.gate_matrix(inst.gate, inst.angle)
-                amps = apply_gate(amps, matrix, inst.qubits, n)
+        for i in range(start, len(steps)):
+            step = steps[i]
+            if not isinstance(step, Instruction):
+                amps = apply_gate(amps, *step, n)
                 continue
-            p1 = _one_probability(amps, inst.qubits[0])
+            p1 = _one_probability(amps, step.qubits[0])
             p0 = 1.0 - p1
             if len(outcomes) < len(forced):
                 ones = k * forced[len(outcomes)]
@@ -292,13 +291,13 @@ def sample_counts(circuit: Circuit, shots: int,
             if 0 < ones < k:
                 sibling = None
                 if pending_bytes + amps.nbytes <= MAX_PENDING_BYTES:
-                    sibling = _branch(amps, 1, p1, inst, n)
+                    sibling = _branch(amps, 1, p1, step, n).amplitudes
                     pending_bytes += sibling.nbytes
                 stack.append((i + 1, ones, outcomes + (1,), sibling))
                 k, outcome = k - ones, 0
             else:
                 outcome = 1 if ones else 0
-            amps = _branch(amps, outcome, p1 if outcome else p0, inst, n)
+            amps = _branch(amps, outcome, p1 if outcome else p0, step, n).amplitudes
             outcomes += (outcome,)
         record = "".join(str(bit) for bit, kept in zip(outcomes, recorded) if kept)
         for bits, count in _draw_suffix(StateVector(amps), suffix, k, rng).items():
@@ -307,62 +306,71 @@ def sample_counts(circuit: Circuit, shots: int,
 
 
 def _fold(block: np.ndarray, held: tuple[int, ...], matrix: np.ndarray,
-          qubits: tuple[int, ...]) -> np.ndarray:
-    """`matrix` on `qubits` times the open `block` on `held`, qubits within held.
+          qubits: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """`matrix` on `qubits` times the open `block` on `held`: the new (block, held).
 
     Block-local qubit j acts on held[j], little-endian like a gate matrix.
     """
+    if len(held) == 1 and qubits != held:
+        # Widen to two qubits: the old block on bit 0, identity on bit 1.
+        wide = np.zeros((2, 2, 2, 2), dtype=complex)
+        wide[0, :, 0, :] = block
+        wide[1, :, 1, :] = block
+        block = wide.reshape(4, 4)
+        held = (held[0], *(q for q in qubits if q != held[0]))
     if qubits == held:
-        return matrix @ block
+        return matrix @ block, held
     if len(qubits) == 2:
         # Reversed operands: swap the gate's two bits on both sides.
-        return matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4) @ block
+        return matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4) @ block, held
     if qubits[0] == held[0]:
         # Rows run (bit 1, bit 0): act on bit 0 within each bit-1 half.
-        return np.matmul(matrix, block.reshape(2, 2, 4)).reshape(4, 4)
-    return (matrix @ block.reshape(2, 8)).reshape(4, 4)
+        return np.matmul(matrix, block.reshape(2, 2, 4)).reshape(4, 4), held
+    return (matrix @ block.reshape(2, 8)).reshape(4, 4), held
+
+
+def _fused(instructions: list[Instruction]):
+    """The one gate fusion: `instructions` as blocks of at most two qubits.
+
+    Yields ``(matrix, qubits)`` in circuit order. A gate within the open
+    block's qubits is folded into it by ``_fold``; a gate that leaves them, a
+    CCX (a block of its own) and a MEASURE or RESET (yielded as the
+    ``Instruction``) close it. ``apply_gate`` checks each block's targets.
+    Fused results match a gate-by-gate run to rounding, not bit for bit.
+    """
+    block, held = None, ()
+    for inst in instructions:
+        qubits = inst.qubits
+        marker = inst.gate in gates.MARKERS
+        if block is not None and (marker or len(set(held).union(qubits)) > 2):
+            yield block, held
+            block = None
+        if marker:
+            yield inst
+            continue
+        matrix = gates.gate_matrix(inst.gate, inst.angle)
+        if len(qubits) > 2:
+            yield matrix, qubits
+        elif block is None:
+            block, held = matrix, qubits
+        else:
+            block, held = _fold(block, held, matrix, qubits)
+    if block is not None:
+        yield block, held
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of a measurement-free circuit.
 
-    Gates are fused into blocks of at most two qubits: a gate whose qubits
-    stay within the open block's two is folded into its 2x2 or 4x4 matrix by
-    one small product. When a gate leaves those qubits, the block is
-    contracted into the identity by ``apply_gate``, whose column axis is a
-    batch (O(4^n) work per block, no 2^n x 2^n operator built); a CCX is
-    contracted on its own. Fusion reorders the floating-point products, so
-    the result matches a gate-by-gate contraction to rounding, not bit for bit.
+    Each ``_fused`` block is contracted into the identity by ``apply_gate``,
+    its columns a batch (O(4^n) work per block, no 2^n x 2^n operator built).
     """
     n = circuit.num_qubits
     full = np.eye(2 ** n, dtype=complex)
-    block, held = None, ()
-    for inst in circuit.instructions:
-        if inst.gate in gates.MARKERS:
-            raise ValueError(f"{inst.gate} has no unitary representation")
-        qubits = inst.qubits
-        for t in qubits:
-            if not 0 <= t < n:
-                raise ValueError(f"target {t} out of range for {n} qubit(s)")
-        matrix = gates.gate_matrix(inst.gate, inst.angle)
-        if block is not None and len(set(held).union(qubits)) > 2:
-            full = apply_gate(full, block, held, n)
-            block = None
-        if len(qubits) > 2:
-            full = apply_gate(full, matrix, qubits, n)
-        elif block is None:
-            block, held = matrix, qubits
-        else:
-            if len(held) == 1 and qubits != held:
-                # Widen to two qubits: the old block on bit 0, identity on bit 1.
-                wide = np.zeros((2, 2, 2, 2), dtype=complex)
-                wide[0, :, 0, :] = block
-                wide[1, :, 1, :] = block
-                block = wide.reshape(4, 4)
-                held = (held[0], *(q for q in qubits if q != held[0]))
-            block = _fold(block, held, matrix, qubits)
-    if block is not None:
-        full = apply_gate(full, block, held, n)
+    for step in _fused(circuit.instructions):
+        if isinstance(step, Instruction):
+            raise ValueError(f"{step.gate} has no unitary representation")
+        full = apply_gate(full, *step, n)
     return full
 
 

@@ -180,8 +180,9 @@ class TestApplyGate:
 
 
 class TestCircuitUnitary:
-    """circuit_unitary fuses gates into two-qubit blocks and contracts each
-    block into the identity with apply_gate."""
+    """circuit_unitary contracts each two-qubit block of the one gate fusion
+    into the identity with apply_gate; apply_circuit and sample_counts apply
+    the same blocks to a state."""
 
     # Gate runs on local qubits 0-2, each hitting one block transition.
     _RUNS = [
@@ -241,19 +242,35 @@ class TestCircuitUnitary:
             mine = aq.circuit_unitary(circuit)
             assert np.max(np.abs(mine - oracle_circuit_unitary(circuit))) < 1e-12
 
-    @pytest.mark.parametrize("text, blocks", [
+    _BLOCK_CASES = [
         ("H 0\nCNOT 0 1\nH 1\nCZ 1 0", [(0, 1)]),
         ("H 1\nCNOT 0 1\nT 0", [(1, 0)]),
         ("CNOT 0 1\nH 2\nCNOT 2 0", [(0, 1), (2, 0)]),
         ("H 0\nCNOT 0 1\nCCX 0 1 2\nT 2", [(0, 1), (0, 1, 2), (2,)]),
         ("RZ 2 0.5\nX 2", [(2,)]),
-    ])
+    ]
+
+    @pytest.mark.parametrize("text, blocks", _BLOCK_CASES)
     def test_one_contraction_per_block(self, monkeypatch, text, blocks):
         calls = self._counting_apply_gate(monkeypatch)
         circuit = aq.parse_circuit("qubits 3\n" + text + "\n")
         mine = aq.circuit_unitary(circuit)
         assert [tuple(targets) for targets in calls] == blocks
         assert np.max(np.abs(mine - oracle_circuit_unitary(circuit))) < 1e-12
+
+    @pytest.mark.parametrize("text, blocks", _BLOCK_CASES + [
+        # The MEASURE reads 1 with certainty, so the walk never splits; it
+        # closes the first block, and H, T and CZ fuse into the second.
+        ("X 0\nCNOT 0 1\nMEASURE 1\nH 1\nT 1\nCZ 1 2", [(0, 1), (1, 2)]),
+    ])
+    def test_every_state_path_applies_the_same_blocks(self, monkeypatch, text, blocks):
+        calls = self._counting_apply_gate(monkeypatch)
+        circuit = aq.parse_circuit("qubits 3\n" + text + "\n")
+        aq.apply_circuit(circuit)
+        applied = [tuple(targets) for targets in calls]
+        calls.clear()
+        aq.sample_counts(circuit, 10, np.random.default_rng(0))
+        assert applied == [tuple(targets) for targets in calls] == blocks
 
     def test_first_fault_in_order_is_raised(self):
         # A marker and an out-of-range target anywhere in a circuit: whichever

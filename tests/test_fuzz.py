@@ -1,18 +1,25 @@
-"""Property tests: a malformed field in a JSON input fails as a ValueError.
+"""Property tests: malformed JSON fields fail typed; fused simulation matches the oracle.
 
-Each property takes a valid device profile, Ising problem or measurement
-pattern, replaces one field (at any depth) with a generated JSON value and
-parses the result. Parsing must return or raise ValueError; nothing is
-executed, so no register is allocated.
+Each parser property takes a valid device profile, Ising problem or
+measurement pattern, replaces one field (at any depth) with a generated JSON
+value and parses the result. Parsing must return or raise ValueError;
+nothing is executed, so no register is allocated.
+
+The differential property runs generated circuits of 1-6 qubits over the
+whole gate alphabet through ``apply_circuit`` and ``circuit_unitary`` and
+compares both with the Kronecker-chain ``oracle_circuit_unitary``.
 """
 
 import copy
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_circuit_unitary, random_state
 
-from aqmkit import IsingProblem, ProfileError, parse_device_profile, parse_pattern
+from aqmkit import (Circuit, Instruction, IsingProblem, ProfileError, StateVector,
+                    apply_circuit, circuit_unitary, gates, parse_device_profile, parse_pattern)
 from aqmkit.devices import builtin_profile
 from aqmkit.profiles import profile_to_dict
 
@@ -87,3 +94,28 @@ def test_pattern_parser_raises_only_value_error(text):
         parse_pattern(text)
     except ValueError:
         pass
+
+
+@st.composite
+def _circuits(draw):
+    """A unitary circuit of 1-6 qubits over every gate, with finite angles."""
+    n = draw(st.integers(1, 6))
+    names = sorted(name for name in gates.UNITARY_GATES if gates.GATE_ARITY[name] <= n)
+    instructions = []
+    for name in draw(st.lists(st.sampled_from(names), max_size=24)):
+        qubits = draw(st.permutations(range(n)))[:gates.GATE_ARITY[name]]
+        angle = (draw(st.floats(allow_nan=False, allow_infinity=False))
+                 if name in gates.ROTATION_GATES else None)
+        instructions.append(Instruction(name, tuple(qubits), angle))
+    return Circuit(n, instructions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circuits(), st.integers(0, 2 ** 32 - 1))
+def test_fused_simulation_matches_kron_oracle(circuit, seed):
+    initial = random_state(np.random.default_rng(seed), circuit.num_qubits)
+    oracle = oracle_circuit_unitary(circuit)
+    final, records = apply_circuit(circuit, StateVector(initial))
+    assert records == []
+    assert np.max(np.abs(final.amplitudes - oracle @ initial)) < 1e-12
+    assert np.max(np.abs(circuit_unitary(circuit) - oracle)) < 1e-12

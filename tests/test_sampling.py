@@ -150,7 +150,7 @@ class TestSampleCounts:
             assert sample_counts(circuit, 5000, rng(8)) != first
 
     def test_terminal_suffix_simulates_once(self, monkeypatch):
-        # Counted in gate applications: one per gate of the circuit.
+        # Counted in block applications: H and CNOT fuse into one block.
         calls = []
         original = simulate.apply_gate
 
@@ -161,7 +161,7 @@ class TestSampleCounts:
         monkeypatch.setattr(simulate, "apply_gate", counting)
         terminal = parse_circuit("qubits 2\nH 0\nCNOT 0 1\nMEASURE 0\nMEASURE 1\n")
         sample_counts(terminal, 300, rng(0))
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         # H once, then the MEASURE splits the 300 shots into two branches
         # and each applies CNOT once: 3 calls, where one run per shot made 600.
