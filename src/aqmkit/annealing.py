@@ -28,6 +28,7 @@ import numpy as np
 
 from . import gates
 from ._fields import read_integer, read_json, read_list, read_number, read_object
+from .linalg import is_hermitian
 from .simulate import embed_gate
 from .state import StateVector, plus_state
 
@@ -252,7 +253,7 @@ def evolve(state: StateVector, hamiltonian: np.ndarray, duration: float,
     dim = state.amplitudes.size
     if hamiltonian.shape != (dim, dim):
         raise ValueError(f"Hamiltonian shape {hamiltonian.shape} does not match state")
-    if np.max(np.abs(hamiltonian - hamiltonian.conj().T)) > 1e-10:
+    if not is_hermitian(hamiltonian):
         raise ValueError("Hamiltonian must be Hermitian")
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")

@@ -30,7 +30,7 @@ from .matcher import UNSUPPORTED, match_profiles, render_report, report_to_dict
 from .mbqc import euler_rotation_pattern, mbqc_execute, parse_pattern
 from .pipeline import CompensationError, compile_for_device
 from .profiles import DeviceProfile, ProfileError, parse_device_profile, serialize_device_profile
-from .simulate import MAX_SIM_QUBITS, sample_counts
+from .simulate import MAX_SIM_QUBITS, generator, sample_counts
 from .walk import MAX_WALK_STEPS, WalkSpec, walk_final
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ def cmd_simulate(args) -> int:
                      f"{MAX_SIM_QUBITS}", EXIT_USAGE)
     if not any(inst.gate == "MEASURE" for inst in circuit.instructions):
         return _fail("circuit has no MEASURE instructions; nothing to sample", EXIT_USAGE)
-    rng = np.random.Generator(np.random.PCG64(args.seed))
+    rng = generator(args.seed, None)
     ordered = dict(sorted(sample_counts(circuit, args.shots, rng).items()))
     if args.json:
         print(json.dumps({"shots": args.shots, "seed": args.seed, "counts": ordered}))
@@ -123,10 +123,8 @@ def cmd_transpile(args) -> int:
     except CompensationError as exc:
         return _fail(f"rule failure ({exc.rule}): {exc}", EXIT_RULE_FAILURE)
     if not result.budget.ok:
-        return _fail(
-            f"rule failure (coherence): duration {result.budget.total_duration_ns:.0f} ns "
-            f"exceeds {result.budget.threshold:g} x T2 ({result.budget.t2_us:g} us)",
-            EXIT_RULE_FAILURE)
+        return _fail(f"rule failure (coherence): {result.budget.failure_reason()}",
+                     EXIT_RULE_FAILURE)
     text = format_circuit(result.circuit)
     cost_lines = [
         f"duration_ns: {result.cost.total_duration_ns:g}",
@@ -135,7 +133,10 @@ def cmd_transpile(args) -> int:
         f"budget_ratio: {result.budget.ratio:.6g}",
     ]
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            return _fail(f"cannot write {args.output}: {exc}", EXIT_USAGE)
     if args.json:
         payload = {
             "circuit": text,

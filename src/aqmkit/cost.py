@@ -35,9 +35,13 @@ class BudgetCheck:
     t2_us: float
     threshold: float
 
+    def failure_reason(self) -> str:
+        """Why the budget is blown, as `aqm transpile` and the matcher report it."""
+        return (f"duration {self.total_duration_ns:.0f} ns exceeds "
+                f"{self.threshold:g} x T2 ({self.t2_us:g} us)")
 
-def estimate_cost(circuit: Circuit, profile: DeviceProfile,
-                  added_ancillas: int = 0) -> CostRecord:
+
+def estimate_cost(circuit: Circuit, profile: DeviceProfile) -> CostRecord:
     """Serial-schedule duration and heuristic fidelity for a legal circuit."""
     duration = 0.0
     fidelity_product = 1.0
@@ -63,8 +67,7 @@ def estimate_cost(circuit: Circuit, profile: DeviceProfile,
         gate_counts=circuit.gate_counts(),
         total_duration_ns=duration,
         gate_fidelity_product=fidelity_product,
-        fidelity_estimate=fidelity_product * decay,
-        added_ancillas=added_ancillas)
+        fidelity_estimate=fidelity_product * decay)
 
 
 def budget_from_cost(cost: CostRecord, profile: DeviceProfile,

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import (MeasurementOperatorSet, draw_branch, normalized_branches,
-                      validate_measurement_set)
+from .measure import MeasurementOperatorSet, draw_branch, normalized_branches, require_complete
 from .simulate import MeasurementRecord
 from .state import StateVector
 
@@ -26,25 +25,23 @@ class DilatedMeasurement:
 
     The joint register places the ancillas in the high-significance qubits,
     so joint amplitudes index as k * 2**n + s for ancilla value k and system
-    basis state s.
+    basis state s. Ancilla value k is outcome k of `mset`.
     """
 
     mset: MeasurementOperatorSet
     unitary: np.ndarray
-    num_system_qubits: int
     num_ancillas: int
-    outcome_map: dict[int, int]
 
     def _outcome_rows(self, state: StateVector) -> list[np.ndarray]:
         """The unnormalized branch of each outcome, in outcome order."""
-        if state.num_qubits != self.num_system_qubits:
+        if state.num_qubits != self.mset.num_qubits:
             raise ValueError("state qubit count does not match the measurement")
-        dim = 2 ** self.num_system_qubits
+        dim = 2 ** self.mset.num_qubits
         joint = np.zeros(self.unitary.shape[0], dtype=complex)
         joint[:dim] = state.amplitudes  # ancillas initialized to |0...0>
         joint = self.unitary @ joint
         rows = joint.reshape(-1, dim)  # row k = unnormalized branch of ancilla value k
-        return [rows[k] for k in sorted(self.outcome_map)]
+        return list(rows[:self.mset.num_outcomes])
 
     def branches(self, state: StateVector) -> list[tuple[float, StateVector | None]]:
         """All K outcome probabilities and post-states, deterministically."""
@@ -53,15 +50,12 @@ class DilatedMeasurement:
     def run(self, state: StateVector, seed: int = 0,
             rng: np.random.Generator | None = None) -> MeasurementRecord:
         """Apply the dilation unitary and read the ancillas projectively."""
-        choice, prob, post = draw_branch(self._outcome_rows(state), seed, rng)
-        return MeasurementRecord(self.outcome_map[choice], prob, post)
+        return MeasurementRecord(*draw_branch(self._outcome_rows(state), seed, rng))
 
 
 def synthesize_measurement(mset: MeasurementOperatorSet) -> DilatedMeasurement:
     """Dilate a general measurement into unitary + projective ancilla readout."""
-    check = validate_measurement_set(mset)
-    if not check.ok:
-        raise ValueError(f"measurement set is not complete (deviation {check.max_deviation:.3e})")
+    require_complete(mset)
     k_outcomes = mset.num_outcomes
     num_ancillas = max(1, int(np.ceil(np.log2(k_outcomes)))) if k_outcomes > 1 else 0
     dim = 2 ** mset.num_qubits
@@ -72,5 +66,4 @@ def synthesize_measurement(mset: MeasurementOperatorSet) -> DilatedMeasurement:
     # The complete QR's trailing columns span the complement of V's range.
     q, _ = np.linalg.qr(isometry, mode="complete")
     unitary = np.hstack([isometry, q[:, dim:]])
-    outcome_map = {k: k for k in range(k_outcomes)}
-    return DilatedMeasurement(mset, unitary, mset.num_qubits, num_ancillas, outcome_map)
+    return DilatedMeasurement(mset, unitary, num_ancillas)

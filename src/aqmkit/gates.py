@@ -81,7 +81,6 @@ GATE_ARITY: dict[str, int] = {
 MARKERS = frozenset({"MEASURE", "RESET"})
 UNITARY_GATES = frozenset(GATE_ARITY) - MARKERS
 SINGLE_QUBIT_GATES = frozenset(g for g, a in GATE_ARITY.items() if a == 1 and g not in MARKERS)
-MULTI_QUBIT_GATES = frozenset(g for g, a in GATE_ARITY.items() if a >= 2)
 
 
 def gate_matrix(name: str, angle: float | None = None) -> np.ndarray:

@@ -80,13 +80,9 @@ class ConnectivityGraph:
                     queue.append(nb)
         return dist
 
-    def is_connected(self, qubits=None) -> bool:
-        """Whether the given qubits (default: all) lie in one component."""
-        targets = set(range(self.num_qubits)) if qubits is None else set(qubits)
-        if len(targets) <= 1:
-            return True
-        start = next(iter(targets))
-        return targets <= set(self.distances_from(start))
+    def is_connected(self) -> bool:
+        """Whether all qubits lie in one component."""
+        return len(self.distances_from(0)) == self.num_qubits
 
 
 def shortest_path(graph: ConnectivityGraph, a: int, b: int) -> list[int]:

@@ -15,16 +15,16 @@ def as_square_matrix(m) -> np.ndarray:
     return m
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = as_square_matrix(m)
     eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m @ m.conj().T - eye)) <= tol
-                and np.max(np.abs(m.conj().T @ m - eye)) <= tol)
+    return bool(np.max(np.abs(m @ m.conj().T - eye)) <= UNITARY_TOL
+                and np.max(np.abs(m.conj().T @ m - eye)) <= UNITARY_TOL)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = as_square_matrix(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
 
 
 def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -132,22 +132,18 @@ class PlanOutcome:
     reason: str = ""
 
 
-def plan_compensation(device: DeviceProfile, circuit: Circuit, epsilon: float = 0.01,
-                      max_depth: int = 10, budget_threshold: float = 0.01) -> PlanOutcome:
-    """Compile a circuit for the device, or report the rule that blocked it."""
+def plan_compensation(device: DeviceProfile, circuit: Circuit) -> PlanOutcome:
+    """Compile at the pipeline's default settings, or report the rule that blocked it."""
     if device.rule_support["operations"] == Level.NONE:
         return PlanOutcome(False, failed_rule="operations",
                            reason=f"device {device.name!r} offers no gate operations")
     try:
-        result = compile_for_device(circuit, device, epsilon=epsilon, max_depth=max_depth,
-                                    budget_threshold=budget_threshold)
+        result = compile_for_device(circuit, device)
     except CompensationError as exc:
         return PlanOutcome(False, failed_rule=exc.rule, reason=str(exc))
     if not result.budget.ok:
-        return PlanOutcome(
-            False, result=result, failed_rule="coherence",
-            reason=(f"duration {result.budget.total_duration_ns:.0f} ns exceeds "
-                    f"{result.budget.threshold:g} x T2 ({result.budget.t2_us:g} us)"))
+        return PlanOutcome(False, result=result, failed_rule="coherence",
+                           reason=result.budget.failure_reason())
     return PlanOutcome(True, result=result)
 
 

@@ -81,11 +81,16 @@ def normalized_branches(rows) -> list[tuple[float, StateVector | None]]:
     return branches
 
 
-def _branch_rows(mset: MeasurementOperatorSet, state: StateVector) -> list[np.ndarray]:
-    """The unnormalized branches m_k|psi>, after checking completeness and size."""
+def require_complete(mset: MeasurementOperatorSet) -> None:
+    """Refuse a measurement set whose operators do not sum to the identity."""
     check = mset.completeness
     if not check.ok:
         raise ValueError(f"measurement set is not complete (deviation {check.max_deviation:.3e})")
+
+
+def _branch_rows(mset: MeasurementOperatorSet, state: StateVector) -> list[np.ndarray]:
+    """The unnormalized branches m_k|psi>, after checking completeness and size."""
+    require_complete(mset)
     if state.num_qubits != mset.num_qubits:
         raise ValueError("state and measurement set qubit counts differ")
     return [op @ state.amplitudes for op in mset.operators]

@@ -24,11 +24,6 @@ class CompensationError(Exception):
 
     rule = "operations"
 
-    def __init__(self, message: str, rule: str | None = None):
-        super().__init__(message)
-        if rule is not None:
-            self.rule = rule
-
 
 class UnexpressibleError(CompensationError):
     rule = "operations"
@@ -83,6 +78,13 @@ def _approximate_rotations(circuit: Circuit, profile: DeviceProfile, epsilon: fl
     return out, replaced
 
 
+def _rewrite(circuit: Circuit, native: frozenset[str]) -> Circuit:
+    try:
+        return rewrite_to_basis(circuit, native, defer_rotations=True)
+    except RewriteError as exc:
+        raise UnexpressibleError(str(exc)) from exc
+
+
 def compile_for_device(circuit: Circuit, profile: DeviceProfile, epsilon: float = 0.01,
                        max_depth: int = 10, budget_threshold: float = 0.01, *,
                        do_rewrite: bool = True, do_approximate: bool = True,
@@ -102,10 +104,7 @@ def compile_for_device(circuit: Circuit, profile: DeviceProfile, epsilon: float 
 
     if do_rewrite:
         before = len(current.instructions)
-        try:
-            current = rewrite_to_basis(current, native, defer_rotations=True)
-        except RewriteError as exc:
-            raise UnexpressibleError(str(exc)) from exc
+        current = _rewrite(current, native)
         log.append(PassLogEntry("rewrite", before, len(current.instructions)))
 
     if do_approximate:
@@ -124,10 +123,7 @@ def compile_for_device(circuit: Circuit, profile: DeviceProfile, epsilon: float 
 
     if do_expand:
         before = len(current.instructions)
-        try:
-            current = rewrite_to_basis(current, native, defer_rotations=True)
-        except RewriteError as exc:
-            raise UnexpressibleError(str(exc)) from exc
+        current = _rewrite(current, native)
         log.append(PassLogEntry("expand-swaps", before, len(current.instructions)))
 
     if do_route and do_expand:

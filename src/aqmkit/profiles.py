@@ -94,9 +94,6 @@ class DeviceProfile:
         """Coherence constant used for budgeting (decoupling-enhanced if known)."""
         return self.t2_dd_us if self.t2_dd_us is not None else self.t2_us
 
-    def support(self, rule: str) -> Level:
-        return self.rule_support[rule]
-
 
 def validate_profile(profile: DeviceProfile) -> list[str]:
     """Check all invariants; returns violation strings (empty = pass)."""
@@ -257,5 +254,5 @@ def profile_to_dict(profile: DeviceProfile) -> dict:
     return data
 
 
-def serialize_device_profile(profile: DeviceProfile, indent: int = 2) -> str:
-    return json.dumps(profile_to_dict(profile), indent=indent) + "\n"
+def serialize_device_profile(profile: DeviceProfile) -> str:
+    return json.dumps(profile_to_dict(profile), indent=2) + "\n"

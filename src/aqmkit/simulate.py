@@ -6,9 +6,10 @@ multiplies them by the gate in one matrix product. ``_fused`` is the one
 gate fusion: runs of gates within two qubits become one 4x4 block, and
 ``apply_circuit``, the ``sample_counts`` walk and ``circuit_unitary`` (the
 identity's columns as a batch) all apply its blocks with ``apply_gate``.
-``embed_gate`` builds the explicit 2^n-dimensional operator when a dense
-matrix is wanted (oracles, routing checks). Gate matrices are unitary by construction (a read-only
-table, finite angles) and are not re-checked.
+``embed_gate`` builds the explicit 2^n-dimensional operator for the callers
+that want a dense matrix: the dense annealing Hamiltonian and the test
+oracles. Gate matrices are unitary by construction (a read-only table,
+finite angles) and are not re-checked.
 ``pick`` draws every single measurement outcome, here and in ``measure`` and
 ``mbqc``. MEASURE draws a computational basis outcome for one qubit and
 collapses the state, reading and zeroing the qubit's halves through the
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import gates
 from .circuit import Circuit, Instruction
-from .linalg import is_unitary
+from .linalg import is_hermitian, is_unitary
 from .state import StateVector, basis_state
 
 ZERO_PROB = 1e-14
@@ -184,7 +185,7 @@ def apply_circuit(circuit: Circuit, initial: StateVector | None = None, seed: in
     rng = generator(seed, rng)
 
     n = circuit.num_qubits
-    amps = np.array(initial.amplitudes, dtype=complex)
+    amps = initial.amplitudes
     records: list[MeasurementRecord] = []
     for step in _fused(circuit.instructions):
         if not isinstance(step, Instruction):
@@ -380,6 +381,6 @@ def expectation(state: StateVector, operator: np.ndarray) -> float:
     dim = state.amplitudes.size
     if op.shape != (dim, dim):
         raise ValueError(f"operator shape {op.shape} does not match state dimension {dim}")
-    if np.max(np.abs(op - op.conj().T)) > 1e-10:
+    if not is_hermitian(op):
         raise ValueError("operator is not Hermitian")
     return float(np.real(np.vdot(state.amplitudes, op @ state.amplitudes)))

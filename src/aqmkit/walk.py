@@ -1,10 +1,10 @@
 """Coined discrete-time quantum walk on a line.
 
 One step applies the coin unitary to the coin register, then the conditional
-shift |0><0| (x) (move -1) + |1><1| (x) (move +1). Positions live on
--W..W with W at least num_steps plus the starting offset, so nothing ever
-reaches the boundary. The classical reference measures the coin every step,
-which reduces the evolution to a symmetric random walk on the probabilities.
+shift |0><0| (x) (move -1) + |1><1| (x) (move +1). The walker starts at 0
+on -W..W with W at least num_steps, so nothing ever reaches the boundary.
+The classical reference measures the coin every step, which reduces the
+evolution to a symmetric random walk on the probabilities.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class WalkSpec:
     line_half_width: int
     coin_unitary: np.ndarray = field(default_factory=lambda: H.copy())
     initial_coin: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0], complex))
-    initial_position: int = 0
 
     def __post_init__(self):
         if self.num_steps < 0:
@@ -41,10 +40,9 @@ class WalkSpec:
         start = np.asarray(self.initial_coin, dtype=complex)
         if start.shape != (2,) or abs(np.linalg.norm(start) - 1.0) > 1e-10:
             raise ValueError("initial_coin must be a normalized 2-vector")
-        if self.line_half_width < self.num_steps + abs(self.initial_position):
+        if self.line_half_width < self.num_steps:
             raise ValueError(
-                "line_half_width must be >= num_steps + |initial_position| "
-                "(walker would hit the boundary)")
+                "line_half_width must be >= num_steps (walker would hit the boundary)")
         object.__setattr__(self, "coin_unitary", coin)
         object.__setattr__(self, "initial_coin", start)
 
@@ -59,7 +57,7 @@ def _walk_amplitudes(spec: WalkSpec) -> Iterator[np.ndarray]:
     width = spec.line_half_width
     length = 2 * width + 1
     amps = np.zeros((2, length), dtype=complex)
-    amps[:, spec.initial_position + width] = spec.initial_coin
+    amps[:, width] = spec.initial_coin
     yield amps
     for _ in range(spec.num_steps):
         amps = spec.coin_unitary @ amps
@@ -87,8 +85,8 @@ def classical_walk_run(spec: WalkSpec) -> list[dict[int, float]]:
     width = spec.line_half_width
     length = 2 * width + 1
     probs = np.zeros(length)
-    probs[spec.initial_position + width] = 1.0
-    history = [{spec.initial_position: 1.0}]
+    probs[width] = 1.0
+    history = [{0: 1.0}]
     for _ in range(spec.num_steps):
         moved = np.zeros_like(probs)
         moved[:-1] += 0.5 * probs[1:]
@@ -98,15 +96,11 @@ def classical_walk_run(spec: WalkSpec) -> list[dict[int, float]]:
     return history
 
 
-def _mean_square_displacement(distribution: dict[int, float], origin: int) -> float:
-    return sum(p * (x - origin) ** 2 for x, p in distribution.items())
-
-
 def walk_variance_exponent(spec: WalkSpec, t_min: int, t_max: int,
                            classical: bool = False) -> float:
     """Least-squares slope of log spread vs log t over integer t in [t_min, t_max].
 
-    Spread is the mean squared displacement from the starting position, so a
+    Spread is the mean squared displacement from the start at 0, so a
     deterministic shift gives exactly t^2 and exponent 2.
     """
     if not 1 <= t_min < t_max:
@@ -114,12 +108,10 @@ def walk_variance_exponent(spec: WalkSpec, t_min: int, t_max: int,
     if t_max - t_min + 1 < 3:
         raise ValueError("degenerate fit: fewer than 3 time points")
     # WalkSpec re-validates that the line is wide enough for t_max steps.
-    run_spec = WalkSpec(t_max, spec.line_half_width,
-                        spec.coin_unitary, spec.initial_coin, spec.initial_position)
+    run_spec = WalkSpec(t_max, spec.line_half_width, spec.coin_unitary, spec.initial_coin)
     history = classical_walk_run(run_spec) if classical else walk_run(run_spec)
     times = np.arange(t_min, t_max + 1)
-    spreads = np.array([_mean_square_displacement(history[t], spec.initial_position)
-                        for t in times])
+    spreads = np.array([sum(p * x ** 2 for x, p in history[t].items()) for t in times])
     if np.any(spreads <= 0):
         raise ValueError("degenerate fit: zero spread in the fit window")
     slope, _ = np.polyfit(np.log(times), np.log(spreads), 1)

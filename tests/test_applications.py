@@ -290,6 +290,10 @@ class TestEvolve:
         with pytest.raises(ValueError, match="Hermitian"):
             aq.evolve(aq.basis_state(1, 0), np.array([[0, 1], [0, 0]], complex), 1.0)
 
+    def test_rejects_non_finite_hamiltonian(self):
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            aq.evolve(aq.basis_state(1, 0), np.full((2, 2), np.nan), 1.0)
+
 
 class TestWalk:
     def test_zero_steps(self):

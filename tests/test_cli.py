@@ -323,6 +323,17 @@ class TestTranspile:
         circuit.write_text("qubits 1\nH 0\n")
         assert_one_error_line(*run_cli("transpile", str(circuit), "--profile", str(tmp_path)))
 
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, where, json_flag):
+        circuit = tmp_path / "swap.txt"
+        circuit.write_text("qubits 2\nSWAP 0 1\n")
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli("transpile", str(circuit), "--profile", "trapped-ion",
+                                 "--output", str(target), *json_flag)
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"error: cannot write {target}: ")
+
     @pytest.mark.parametrize("field, raw, message", [
         ("t1_us", "1" + "0" * 400, "t1_us is out of range"),
         ("duration_ns", str(10 ** 400), "measurement.duration_ns is out of range"),

@@ -427,6 +427,19 @@ class TestApplyCircuit:
         with pytest.raises(ValueError, match="qubit"):
             aq.apply_circuit(aq.Circuit(2).add("H", 0), aq.basis_state(1, 0))
 
+    def test_initial_state_left_unchanged(self):
+        # The run starts from the caller's amplitudes themselves; a MEASURE
+        # first collapses them directly.
+        initial = aq.StateVector(random_state(np.random.default_rng(10), 3))
+        before = initial.amplitudes.tobytes()
+        c = aq.parse_circuit(
+            "qubits 3\nMEASURE 1\nH 0\nCNOT 0 2\nRESET 2\nRY 1 0.4\nCCX 0 1 2\nMEASURE 0\n")
+        for seed in range(4):
+            aq.apply_circuit(c, initial, seed=seed)
+        assert initial.amplitudes.tobytes() == before
+        state, _ = aq.apply_circuit(aq.Circuit(3), initial)
+        assert state.amplitudes.tobytes() == before and state is not initial
+
     def test_seeded_records_pinned(self):
         # Every MEASURE and RESET draws once with simulate.pick, also when one
         # outcome is dead: in the second circuit, X 0 makes MEASURE 0 and
@@ -503,3 +516,8 @@ class TestDistanceAndExpectation:
     def test_expectation_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             aq.expectation(aq.basis_state(1, 0), np.array([[0, 1], [0, 0]], complex))
+
+    def test_expectation_rejects_non_finite_operator(self):
+        # NaN compares false with every tolerance: the operator is refused.
+        with pytest.raises(ValueError, match="not Hermitian"):
+            aq.expectation(aq.basis_state(1, 0), np.full((2, 2), np.nan))
