@@ -21,6 +21,7 @@ and `evolve` exponentiates any dense H exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -122,8 +123,8 @@ class AnnealSchedule:
     grid_values: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.t_final < 0:
-            raise ValueError("t_final must be >= 0")
+        if not (math.isfinite(self.t_final) and self.t_final >= 0):
+            raise ValueError(f"t_final must be a finite number >= 0, got {self.t_final}")
         if not 1 <= self.num_steps <= MAX_ANNEAL_STEPS:
             raise ValueError(f"the step count must be in [1, {MAX_ANNEAL_STEPS}], "
                              f"got {self.num_steps}")

@@ -2,11 +2,21 @@
 
 A pattern names a graph, an ordered list of single-qubit measurements in
 X-Y-plane bases {(|0> +/- e^{i theta'}|1>)/sqrt(2)}, the output qubits, and
-byproduct rules. Each edge's CZ is an in-place sign flip of the amplitudes
-with both its bits 1. Earlier outcomes may flip the sign of later angles
+byproduct rules. Earlier outcomes may flip the sign of later angles
 (theta' = (-1)^(sum of referenced outcomes) * theta); after all measurements
 the accumulated X/Z byproducts are applied to the outputs so deterministic
 patterns give outcome-independent results.
+
+The executor holds only live nodes (Raussendorf & Briegel, PRL 86, 5188;
+Danos, Kashefi & Panangaden, J. ACM 54, 2007). The register starts as the
+inputs. A node enters in |+> just before it or a neighbour is measured, and
+its CZs to the nodes already present are applied then, as in-place sign
+flips of the amplitudes with both edge bits 1. A measured node leaves the
+register. Outputs not yet present enter at the end. CZs commute with each
+other and with every measurement off their nodes, so this gives the state
+of entangling the whole graph first. The register's widest point, the live
+width, follows from the graph, the order and the inputs alone
+(`live_width`); it is capped at `MAX_SIM_QUBITS`, the `simulate` width.
 """
 
 from __future__ import annotations
@@ -24,9 +34,10 @@ from .graphs import ConnectivityGraph
 from .simulate import MAX_SIM_QUBITS, apply_gate, generator, pick
 from .state import StateVector
 
-# Most nodes `parse_pattern` accepts. The register holds 2**nodes amplitudes,
-# so this is the width `aqm simulate` accepts (256 MiB of complex128).
-MAX_PATTERN_NODES = MAX_SIM_QUBITS
+# Most nodes `parse_pattern` accepts. The register holds only live nodes, so
+# the node count bounds parse and bookkeeping cost (linear in nodes and
+# edges), not the register; `live_width` bounds that.
+MAX_PATTERN_NODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,9 @@ class MeasurementPattern:
                         f"measurement of qubit {step.qubit} adapts on qubit {dep}, "
                         "which is not measured earlier")
             seen.add(step.qubit)
+        outputs = set(self.outputs)
         for rule in self.byproducts:
-            if rule.qubit not in self.outputs:
+            if rule.qubit not in outputs:
                 raise ValueError(f"byproduct target {rule.qubit} is not an output qubit")
             if not set(rule.deps) <= seen:
                 raise ValueError("byproduct rule references an unmeasured qubit")
@@ -122,21 +134,49 @@ def _relabel(amps: np.ndarray, order) -> np.ndarray:
     return amps.reshape((2,) * m).transpose(axes).reshape(-1)
 
 
-def _initial_register(pattern: MeasurementPattern,
-                      input_state: StateVector | None) -> np.ndarray:
-    n = pattern.graph.num_qubits
-    if input_state is None:
-        return np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
-    if input_state.num_qubits != len(pattern.inputs):
-        raise ValueError(
-            f"input state has {input_state.num_qubits} qubit(s); pattern declares "
-            f"{len(pattern.inputs)} input(s)")
-    # Input qubit j rides on pattern qubit inputs[j]; all others start in |+>:
-    # tile the inputs as the low qubits, then relabel.
-    free = n - len(pattern.inputs)
-    low_inputs = np.tile(input_state.amplitudes * 2.0 ** (-free / 2), 2 ** free)
-    sources = list(pattern.inputs) + [q for q in range(n) if q not in pattern.inputs]
-    return _relabel(low_inputs, [sources.index(q) for q in range(n)])
+def _entry_batches(pattern: MeasurementPattern) -> list[list[int]]:
+    """The nodes that enter the register before each measurement, then at the end.
+
+    The inputs are present from the start. A node enters when it or a
+    neighbour is about to be measured; the outputs still absent enter after
+    the last measurement.
+    """
+    absent = set(range(pattern.graph.num_qubits)) - set(pattern.inputs)
+    batches = []
+    for step in pattern.steps:
+        batch = [q for q in (step.qubit, *pattern.graph.neighbors(step.qubit)) if q in absent]
+        absent.difference_update(batch)
+        batches.append(batch)
+    batches.append([q for q in pattern.outputs if q in absent])
+    return batches
+
+
+def live_width(pattern: MeasurementPattern) -> int:
+    """Most nodes present and unmeasured at once: the widest register `mbqc_execute` holds."""
+    present = width = len(pattern.inputs)
+    for batch in _entry_batches(pattern):
+        width = max(width, present + len(batch))
+        present += len(batch) - 1
+    return width
+
+
+def _check_live_width(pattern: MeasurementPattern) -> None:
+    width = live_width(pattern)
+    if width > MAX_SIM_QUBITS:
+        raise ValueError(f"pattern has a live width of {width} qubits; at most "
+                         f"{MAX_SIM_QUBITS} are supported")
+
+
+def _enter(amps: np.ndarray, live: list[int], nodes: list[int],
+           graph: ConnectivityGraph) -> None:
+    """Make `nodes`, the top qubits of `amps`, live and CZ each to the nodes present."""
+    position = {q: j for j, q in enumerate(live)}
+    edges = []
+    for q in nodes:
+        position[q] = len(position)
+        edges += [(position[p], position[q]) for p in graph.neighbors(q) if p in position]
+    live.extend(nodes)
+    _entangle(amps, edges, len(live))
 
 
 def _project_out(amps: np.ndarray, axis_qubits: list[int], qubit: int,
@@ -153,19 +193,34 @@ def _project_out(amps: np.ndarray, axis_qubits: list[int], qubit: int,
 def mbqc_execute(pattern: MeasurementPattern, input_state: StateVector | None = None,
                  seed: int = 0, rng: np.random.Generator | None = None,
                  forced_outcomes=None) -> MbqcResult:
-    """Entangle, measure in order with adaptive signs, correct byproducts.
+    """Entangle nodes as they go live, measure in order with adaptive signs, correct byproducts.
 
     `forced_outcomes` fixes the outcome sequence (for branch enumeration in
-    tests); otherwise outcomes are sampled with the seeded generator.
+    tests); otherwise outcomes are sampled with the seeded generator. A
+    pattern whose live width exceeds MAX_SIM_QUBITS is refused before
+    anything is allocated.
     """
+    _check_live_width(pattern)
+    k = len(pattern.inputs)
+    if input_state is not None and input_state.num_qubits != k:
+        raise ValueError(
+            f"input state has {input_state.num_qubits} qubit(s); pattern declares "
+            f"{k} input(s)")
     rng = generator(seed, rng)
-    n = pattern.graph.num_qubits
-    amps = _initial_register(pattern, input_state)
-    _entangle(amps, pattern.graph.edges, n)
+    amps = (np.full(2 ** k, 2.0 ** (-k / 2), dtype=complex) if input_state is None
+            else input_state.amplitudes.copy())
+    live: list[int] = []  # little-endian register order of present qubits
+    _enter(amps, live, list(pattern.inputs), pattern.graph)
 
-    live = list(range(n))  # little-endian register order of surviving qubits
     outcomes: dict[int, int] = {}
-    for index, step in enumerate(pattern.steps):
+    steps = (*pattern.steps, None)  # the last batch enters after the last measurement
+    for index, (step, batch) in enumerate(zip(steps, _entry_batches(pattern))):
+        if batch:
+            # One factor for the whole batch's |+>: a sqrt(1/2) per node rounds differently.
+            amps = np.tile(amps * 2.0 ** (-len(batch) / 2), 2 ** len(batch))
+            _enter(amps, live, batch, pattern.graph)
+        if step is None:
+            break
         sign = (-1) ** sum(outcomes[d] for d in step.sign_deps)
         theta = sign * step.angle
         phase = np.exp(1j * theta)
@@ -255,9 +310,10 @@ def _parse_adaptivity(expr) -> tuple[int, ...]:
 
 
 def parse_pattern(text: str) -> MeasurementPattern:
-    """Load a pattern from its JSON file format (at most MAX_PATTERN_NODES nodes).
+    """Load a pattern from its JSON file format.
 
-    Every malformed input raises ValueError.
+    It may have at most MAX_PATTERN_NODES nodes and a live width of at most
+    MAX_SIM_QUBITS. Every malformed input raises ValueError.
     """
     data = read_object(read_json(text, "pattern"), "pattern",
                        ("nodes", "edges", "order", "angles", "outputs"),
@@ -284,8 +340,10 @@ def parse_pattern(text: str) -> MeasurementPattern:
         ByproductRule(rule["type"], read_integer(rule["qubit"], "byproduct 'qubit'"),
                       read_qubits(rule["deps"], "byproduct 'deps'"))
         for rule in rules)
-    return MeasurementPattern(
+    pattern = MeasurementPattern(
         graph, steps,
         outputs=read_qubits(data["outputs"], "'outputs'"),
         inputs=read_qubits(data.get("inputs", []), "'inputs'"),
         byproducts=byproducts)
+    _check_live_width(pattern)
+    return pattern

@@ -7,7 +7,8 @@ instead of BFS, closed-form binomials instead of probability propagation,
 every measurement branch enumerated instead of shots sampled, one 2x2
 product at a time instead of one array operation per search level, one
 single-qubit mixer pass per spin instead of two Hamming-distance block
-products per annealing step.
+products per annealing step, the whole MBQC graph state built before the
+first measurement instead of each node entering as it goes live.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from aqmkit import gates
 from aqmkit.annealing import AnnealResult, AnnealSchedule, IsingProblem, anneal_success
 from aqmkit.circuit import Circuit
 from aqmkit.graphs import ConnectivityGraph
+from aqmkit.mbqc import MbqcResult, MeasurementPattern, _entangle, _project_out, _relabel
+from aqmkit.simulate import apply_gate, generator, pick
 from aqmkit.state import StateVector, plus_state
 
 
@@ -288,3 +291,78 @@ def oracle_strang_anneal(problem: IsingProblem, schedule: AnnealSchedule) -> Ann
     state = StateVector(tensor.reshape(-1))
     return AnnealResult(state, np.array(times), np.array(energies),
                         anneal_success(state, problem), max_norm_drift)
+
+
+def _initial_register(pattern: MeasurementPattern,
+                      input_state: StateVector | None) -> np.ndarray:
+    n = pattern.graph.num_qubits
+    if input_state is None:
+        return np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
+    if input_state.num_qubits != len(pattern.inputs):
+        raise ValueError(
+            f"input state has {input_state.num_qubits} qubit(s); pattern declares "
+            f"{len(pattern.inputs)} input(s)")
+    # Input qubit j rides on pattern qubit inputs[j]; all others start in |+>:
+    # tile the inputs as the low qubits, then relabel.
+    free = n - len(pattern.inputs)
+    low_inputs = np.tile(input_state.amplitudes * 2.0 ** (-free / 2), 2 ** free)
+    sources = list(pattern.inputs) + [q for q in range(n) if q not in pattern.inputs]
+    return _relabel(low_inputs, [sources.index(q) for q in range(n)])
+
+
+def oracle_mbqc_execute(pattern: MeasurementPattern, input_state: StateVector | None = None,
+                        seed: int = 0, rng: np.random.Generator | None = None,
+                        forced_outcomes=None) -> MbqcResult:
+    """Entangle the whole graph, measure in order with adaptive signs, correct byproducts.
+
+    `forced_outcomes` fixes the outcome sequence (for branch enumeration in
+    tests); otherwise outcomes are sampled with the seeded generator. The
+    register holds every node from the start, as `mbqc_execute` did before it
+    kept only the live ones.
+    """
+    rng = generator(seed, rng)
+    n = pattern.graph.num_qubits
+    amps = _initial_register(pattern, input_state)
+    _entangle(amps, pattern.graph.edges, n)
+
+    live = list(range(n))  # little-endian register order of surviving qubits
+    outcomes: dict[int, int] = {}
+    for index, step in enumerate(pattern.steps):
+        sign = (-1) ** sum(outcomes[d] for d in step.sign_deps)
+        theta = sign * step.angle
+        phase = np.exp(1j * theta)
+        plus = np.array([1.0, phase], dtype=complex) / np.sqrt(2.0)
+        minus = np.array([1.0, -phase], dtype=complex) / np.sqrt(2.0)
+        p_plus, projected_plus = _project_out(amps, live, step.qubit, plus)
+        if forced_outcomes is not None:
+            outcome = int(forced_outcomes[index])
+        else:
+            outcome = pick((p_plus, 1.0 - p_plus), rng)
+        if outcome == 0:
+            prob, projected = p_plus, projected_plus
+        else:
+            prob, projected = _project_out(amps, live, step.qubit, minus)
+        if prob < 1e-12:
+            raise ValueError(
+                f"outcome {outcome} on qubit {step.qubit} has probability ~0")
+        amps = projected / np.sqrt(prob)
+        live.remove(step.qubit)
+        outcomes[step.qubit] = outcome
+
+    # Reorder the surviving register so qubit j of the result is outputs[j].
+    k = len(pattern.outputs)
+    reordered = _relabel(amps, [live.index(q) for q in pattern.outputs])
+
+    powers = {q: [0, 0] for q in pattern.outputs}
+    for rule in pattern.byproducts:
+        parity = sum(outcomes[d] for d in rule.deps) % 2
+        powers[rule.qubit][0 if rule.kind == "X" else 1] ^= parity
+    for j, q in enumerate(pattern.outputs):
+        x_power, z_power = powers[q]
+        if x_power:
+            reordered = apply_gate(reordered, gates.X, [j], k)
+        if z_power:
+            reordered = apply_gate(reordered, gates.Z, [j], k)
+
+    return MbqcResult(StateVector(reordered), outcomes,
+                      {q: (p[0], p[1]) for q, p in powers.items()})

@@ -16,9 +16,9 @@ from aqmkit.annealing import (MAX_ANNEAL_STEPS, MAX_SPINS, _energy_terms, _hammi
                               _step_unitary, build_annealing_hamiltonian)
 from aqmkit.graphs import ConnectivityGraph
 from aqmkit.cli import main
-from aqmkit.simulate import apply_gate, embed_gate
-from oracles import (kron_embed, oracle_place_inputs, oracle_reorder, oracle_strang_anneal,
-                     random_state)
+from aqmkit.simulate import MAX_SIM_QUBITS, apply_gate, embed_gate
+from oracles import (kron_embed, oracle_mbqc_execute, oracle_place_inputs, oracle_reorder,
+                     oracle_strang_anneal, random_state)
 
 
 def fine_step_anneal(problem, t_final, num_steps=50000):
@@ -489,15 +489,30 @@ class TestEntangling:
         assert code == 0 and len(json.loads(out)["output_amplitudes"]) == 2
 
     def test_seeded_stdout_is_pinned(self, tmp_path):
-        # Prefixes of the sha256 of stdout as the CZ contraction loop printed it.
+        # Prefixes of the sha256 of stdout as the live-register executor prints
+        # it. The whole-register executor printed 4f73837bcbf8f3be and
+        # 9ce03a6998b4782c: its outcomes and byproducts were the ones below,
+        # and its amplitudes (`oracle_mbqc_execute`) agree within 1e-12.
         path = tmp_path / "grid.json"
         path.write_text(grid_pattern_json(np.random.Generator(np.random.PCG64(5))))
-        for argv, prefix in (
-                (["--pattern", str(path)], "4f73837bcbf8f3be"),
-                (["--euler", "0.1", "0.2", "0.3"], "9ce03a6998b4782c")):
+        grid_outcomes = {"0": 1, "1": 0, "2": 0, "4": 1, "5": 0, "6": 1, "8": 1, "9": 0,
+                         "10": 1, "12": 0, "13": 0, "14": 0}
+        grid_byproduct = {"3": {"x": 0, "z": 0}, "7": {"x": 1, "z": 0},
+                          "11": {"x": 1, "z": 0}, "15": {"x": 0, "z": 0}}
+        euler_outcomes = {"0": 1, "1": 1, "2": 1, "3": 0}
+        for argv, pattern, prefix, outcomes, byproduct in (
+                (["--pattern", str(path)], aq.parse_pattern(path.read_text()),
+                 "a91ef5374526b22c", grid_outcomes, grid_byproduct),
+                (["--euler", "0.1", "0.2", "0.3"], aq.euler_rotation_pattern(0.1, 0.2, 0.3),
+                 "0d5bc2a21fdc88e6", euler_outcomes, {"4": {"x": 1, "z": 0}})):
             code, out = run_mbqc_cli(*argv, "--seed", "5", "--json")
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
+            payload = json.loads(out)
+            assert payload["outcomes"] == outcomes and payload["byproduct"] == byproduct
+            amplitudes = np.array([complex(*pair) for pair in payload["output_amplitudes"]])
+            oracle = oracle_mbqc_execute(pattern, seed=5).output_state.amplitudes
+            assert np.max(np.abs(amplitudes - oracle)) <= 1e-12
 
 
 class TestMbqc:
@@ -583,6 +598,21 @@ class TestMbqc:
         first = aq.mbqc_execute(pattern, seed=9)
         second = aq.mbqc_execute(pattern, seed=9)
         assert first.outcomes == second.outcomes
+
+    def test_live_width_cap_rejects_before_executing(self, monkeypatch):
+        # A 25-leaf star whose centre is measured first: all 26 nodes are live
+        # at once. The refusal comes before the executor's first step.
+        def refuse(*args, **kwargs):
+            raise AssertionError("executed a pattern past the live-width cap")
+
+        monkeypatch.setattr(mbqc, "generator", refuse)
+        graph = ConnectivityGraph.from_edges(26, [(0, leaf) for leaf in range(1, 26)])
+        pattern = aq.MeasurementPattern(
+            graph, tuple(aq.PatternStep(q, 0.0) for q in range(25)), outputs=(25,))
+        assert mbqc.live_width(pattern) == 26
+        message = f"live width of 26 qubits; at most {MAX_SIM_QUBITS}"
+        with pytest.raises(ValueError, match=message):
+            aq.mbqc_execute(pattern)
 
     def test_future_reference_rejected(self):
         graph = ConnectivityGraph.line(3)

@@ -3,6 +3,7 @@
 import io
 import json
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -12,7 +13,7 @@ from aqmkit.annealing import MAX_ANNEAL_STEPS
 from aqmkit.approx import MAX_APPROX_DEPTH
 from aqmkit.cli import MAX_SHOTS, main
 from aqmkit.devices import builtin_profile
-from aqmkit.mbqc import MAX_PATTERN_NODES, parse_pattern
+from aqmkit.mbqc import MAX_PATTERN_NODES, live_width, parse_pattern
 from aqmkit.profiles import profile_to_dict
 from aqmkit.walk import MAX_WALK_STEPS, WalkSpec, walk_run
 
@@ -434,22 +435,53 @@ class TestOtherCommands:
             "outputs": [nodes - 1]})
 
     def test_mbqc_node_cap_admits_the_limit(self):
-        # Parsing builds no register, so the largest admitted pattern is cheap here.
-        assert parse_pattern(self._line_pattern(MAX_PATTERN_NODES)).graph.num_qubits \
-            == MAX_PATTERN_NODES
+        # A 10 000-node line parses without building a register; it needs two live qubits.
+        pattern = parse_pattern(self._line_pattern(MAX_PATTERN_NODES))
+        assert MAX_PATTERN_NODES == 10_000 and pattern.graph.num_qubits == MAX_PATTERN_NODES
+        assert live_width(pattern) == 2
 
     def test_mbqc_node_cap_rejects_before_executing(self, tmp_path, monkeypatch):
-        # One node past the cap: were the cap missing, the pattern would still
-        # build cheaply and reach the patched executor instead of allocating.
+        # One node past the 10 000-node cap: were the cap missing, the line
+        # would parse and reach the patched executor.
         def refuse(*args, **kwargs):
             raise AssertionError("executed a pattern past the node cap")
 
         monkeypatch.setattr(cli, "mbqc_execute", refuse)
-        pattern = tmp_path / "wide.json"
+        pattern = tmp_path / "long.json"
         pattern.write_text(self._line_pattern(MAX_PATTERN_NODES + 1))
         code, out, err = run_cli("mbqc", "--pattern", str(pattern))
         assert_one_error_line(code, out, err)
-        assert "nodes" in err
+        assert "10001 nodes" in err
+
+    def test_mbqc_live_width_cap_rejects_before_executing(self, tmp_path, monkeypatch):
+        # A 25-leaf star whose centre is measured first: all 26 nodes are live at once.
+        def refuse(*args, **kwargs):
+            raise AssertionError("executed a pattern past the live-width cap")
+
+        monkeypatch.setattr(cli, "mbqc_execute", refuse)
+        pattern = tmp_path / "star.json"
+        pattern.write_text(json.dumps({
+            "nodes": 26, "edges": [[0, leaf] for leaf in range(1, 26)],
+            "order": list(range(25)), "angles": [0.0] * 25, "outputs": [25]}))
+        code, out, err = run_cli("mbqc", "--pattern", str(pattern))
+        assert_one_error_line(code, out, err)
+        assert f"live width of 26 qubits; at most {simulate.MAX_SIM_QUBITS}" in err
+
+    def test_mbqc_wide_pattern_refused_in_linear_time(self, tmp_path):
+        # 10 000 outputs and 100 000 byproduct rules: validation is linear in
+        # the input (a rule-by-output scan took 13 s), then the live width of
+        # 10 000 is refused.
+        nodes = MAX_PATTERN_NODES
+        pattern = tmp_path / "wide.json"
+        pattern.write_text(json.dumps({
+            "nodes": nodes, "edges": [], "order": [], "angles": [],
+            "outputs": list(range(nodes)),
+            "byproducts": [{"type": "X", "qubit": nodes - 1, "deps": []}] * 100_000}))
+        start = time.perf_counter()
+        code, out, err = run_cli("mbqc", "--pattern", str(pattern))
+        elapsed = time.perf_counter() - start
+        assert_one_error_line(code, out, err)
+        assert f"live width of {nodes} qubits" in err and elapsed < 5
 
     def test_walk_two_steps(self):
         code, out, _ = run_cli("walk", "--steps", "2", "--coin", "hadamard", "--json")
@@ -563,6 +595,16 @@ class TestOtherCommands:
     def test_anneal_bad_steps_is_usage_error(self, problem_path):
         code, _, _ = run_cli("anneal", "--problem", problem_path, "--steps", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("t_final", ["inf", "-inf", "nan"])
+    def test_anneal_non_finite_t_final_is_refused(self, problem_path, t_final):
+        # One line that names t_final, and no numpy warning before it.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli("anneal", "--problem", problem_path,
+                                     f"--t-final={t_final}")
+        assert_one_error_line(code, out, err)
+        assert "t_final" in err and caught == []
 
     @pytest.mark.parametrize("steps", [MAX_ANNEAL_STEPS + 1, 10 ** 11])
     def test_anneal_steps_cap_rejects_before_annealing(self, problem_path, monkeypatch, steps):

@@ -13,18 +13,24 @@ to the same instructions.
 The differential property runs generated circuits of 1-6 qubits over the
 whole gate alphabet through ``apply_circuit`` and ``circuit_unitary`` and
 compares both with the Kronecker-chain ``oracle_circuit_unitary``.
+
+The MBQC property runs generated patterns of 2-12 nodes with forced outcomes
+through ``mbqc_execute``, which holds only live nodes, and through
+``oracle_mbqc_execute``, which holds every node from the start.
 """
 
 import copy
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_circuit_unitary, random_state
+from oracles import oracle_circuit_unitary, oracle_mbqc_execute, random_state
 
-from aqmkit import (Circuit, CircuitParseError, Instruction, IsingProblem, ProfileError,
-                    StateVector, apply_circuit, circuit_unitary, format_circuit, gates,
+from aqmkit import (ByproductRule, Circuit, CircuitParseError, ConnectivityGraph, Instruction,
+                    IsingProblem, MeasurementPattern, PatternStep, ProfileError, StateVector,
+                    apply_circuit, circuit_unitary, format_circuit, gates, mbqc_execute,
                     parse_circuit, parse_device_profile, parse_pattern)
 from aqmkit.devices import builtin_profile
 from aqmkit.profiles import profile_to_dict
@@ -125,6 +131,63 @@ def test_fused_simulation_matches_kron_oracle(circuit, seed):
     assert records == []
     assert np.max(np.abs(final.amplitudes - oracle @ initial)) < 1e-12
     assert np.max(np.abs(circuit_unitary(circuit) - oracle)) < 1e-12
+
+
+# Quarter turns make some forced outcomes impossible, so both executors must
+# refuse them alike; the other angles are generic.
+ANGLES = (st.integers(-4, 4).map(lambda k: k * math.pi / 2)
+          | st.sampled_from([0.3, -1.1, 2.2, math.pi / 4]))
+
+
+@st.composite
+def _patterns(draw):
+    """A pattern of 2-12 nodes with inputs, unsorted outputs, sign dependencies and byproducts."""
+    n = draw(st.integers(2, 12))
+    nodes = draw(st.permutations(range(n)))
+    num_outputs = draw(st.integers(1, n))
+    measured, outputs = nodes[:n - num_outputs], tuple(nodes[n - num_outputs:])
+    inputs = tuple(draw(st.permutations(range(n)))[:draw(st.integers(0, n))])
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    steps = tuple(
+        PatternStep(q, draw(ANGLES),
+                    tuple(draw(st.lists(st.sampled_from(measured[:i]), unique=True, max_size=3))
+                          if i else ()))
+        for i, q in enumerate(measured))
+    deps = st.lists(st.sampled_from(measured), unique=True, max_size=3).map(tuple) \
+        if measured else st.just(())
+    byproducts = tuple(draw(st.lists(
+        st.builds(ByproductRule, st.sampled_from("XZ"), st.sampled_from(outputs), deps),
+        max_size=4)))
+    return MeasurementPattern(ConnectivityGraph.from_edges(n, edges), steps, outputs=outputs,
+                              inputs=inputs, byproducts=byproducts)
+
+
+def _execute(execute, pattern, psi, outcomes):
+    try:
+        return execute(pattern, psi, forced_outcomes=outcomes)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_patterns(), st.data())
+def test_live_register_mbqc_matches_whole_register_oracle(pattern, data):
+    outcomes = data.draw(st.lists(st.integers(0, 1), min_size=len(pattern.steps),
+                                  max_size=len(pattern.steps)))
+    psi = None
+    if pattern.inputs and data.draw(st.booleans()):
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        psi = StateVector(random_state(np.random.default_rng(seed), len(pattern.inputs)))
+    live = _execute(mbqc_execute, pattern, psi, outcomes)
+    oracle = _execute(oracle_mbqc_execute, pattern, psi, outcomes)
+    if isinstance(oracle, str):
+        assert live == oracle
+        return
+    assert not isinstance(live, str), live
+    assert live.outcomes == oracle.outcomes and live.byproduct == oracle.byproduct
+    assert np.max(np.abs(live.output_state.amplitudes
+                         - oracle.output_state.amplitudes)) <= 1e-12
 
 
 # Words that reach every branch of the parser: headers, gate names of each
