@@ -12,9 +12,13 @@ is held as a (2**a, 2**b) matrix with a = n // 2 and b = n - a, rows indexed
 by the high qubits. The mixer product then splits into one 2**a-sided factor
 on the rows and one 2**b-sided factor on the columns; each is the symmetric
 matrix with entries cos**(k-d) (i sin)**d at Hamming distance d between its
-row and column indices. So a step is two block products, O(2**(3n/2)), and a
-fixed number of numpy calls whatever n is. The energy trace takes the cost
-term from the diagonal and the mixer term from the distance-1 matrices.
+row and column indices. So a step is two block products, O(2**(3n/2)).
+`anneal` advances a block of consecutive steps at a time: one exponential
+gives every step's half-cost factor, one gather every step's mixer matrices,
+and one pass the energy of every state of the block, so the numpy calls are
+fixed per block whatever n is; only the block products and the
+renormalisation run step by step. The energy trace takes the cost term from
+the diagonal and the mixer term from the distance-1 matrices.
 `build_annealing_hamiltonian` and `_step_unitary` remain as the dense form,
 and `evolve` exponentiates any dense H exactly.
 """
@@ -35,9 +39,18 @@ from .state import StateVector, plus_state
 
 MAX_SPINS = 12
 
-# Most steps an AnnealSchedule accepts (each keeps at most about 300 B of schedule
-# tables and trace): on a 2-vCPU VM 10**5 steps took 4 s at 1 spin and 55 s at MAX_SPINS.
+# Most steps an AnnealSchedule accepts. Each step keeps at most about 300 B of
+# schedule tables and trace; the block buffers of `anneal` do not grow with the
+# step count (see _BLOCK_BYTES). On a 2-vCPU VM 10**5 steps took 0.6 s at 1 spin
+# and 30 s at MAX_SPINS.
 MAX_ANNEAL_STEPS = 10 ** 5
+
+# Bytes of states one block of `anneal` steps holds. Each buffer of a block (the
+# half-cost factors, the states, the energy pass's temporaries) takes at most
+# this or one state, whichever is larger, and one state is 64 KiB at MAX_SPINS.
+# A 50-step run at n <= 4 is one block; n = 8 takes blocks of 16 steps and
+# n = MAX_SPINS blocks of one step.
+_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -181,17 +194,25 @@ def _mixer_table(angles: np.ndarray, k: int) -> np.ndarray:
     return np.cos(angles)[:, None] ** (k - d) * (1j * np.sin(angles))[:, None] ** d
 
 
-def _energy_terms(psi: np.ndarray, diagonal: np.ndarray, adjacency) -> tuple[float, float]:
-    """(sum_i <X_i>, <H1>) of a normalised state in its (2**a, 2**b) matrix view.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a[k] * b[k]) for each k of two stacks, one (1, m) @ (m, 1) product each."""
+    count = len(a)
+    return (a.reshape(count, 1, -1) @ b.reshape(count, -1, 1)).reshape(count)
+
+
+def _energy_terms(states: np.ndarray, diagonal: np.ndarray,
+                  adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_i <X_i>, <H1>) of each normalised state of a (count, 2**a, 2**b) stack.
 
     `adjacency` holds the real 0/1 distance-1 matrices S_a and S_b over the row
     and the column qubits, so sum_i <X_i> = Re<psi, S_a psi + psi S_b>. Each
     term is one real product on interleaved (re, im) pairs: S_a on the rows of
-    psi, S_b on the rows of its transpose.
+    every psi, S_b on the rows of its transpose.
     """
-    rows, columns = psi.view(float), psi.T.copy().view(float)
-    mixer = np.vdot(rows, adjacency[0] @ rows) + np.vdot(columns, adjacency[1] @ columns)
-    return float(mixer), float(np.vdot(psi, diagonal * psi).real)
+    rows = states.view(float)
+    columns = states.transpose(0, 2, 1).copy().view(float)
+    mixer = _dots(rows, adjacency[0] @ rows) + _dots(columns, adjacency[1] @ columns)
+    return mixer, _dots(states.conj(), diagonal * states).real
 
 
 def anneal(problem: IsingProblem, schedule: AnnealSchedule) -> AnnealResult:
@@ -204,7 +225,8 @@ def anneal(problem: IsingProblem, schedule: AnnealSchedule) -> AnnealResult:
     sides = (n // 2, n - n // 2)
     # Row index: the high n // 2 qubits; column index: the low ones.
     shape = (2 ** sides[0], 2 ** sides[1])
-    diagonal = problem.cost_diagonal().reshape(shape)
+    cost = problem.cost_diagonal()
+    diagonal = cost.reshape(shape)
     distances = [_hamming(k) for k in sides]
     adjacency = [(d == 1).astype(float) for d in distances]
     psi = np.array(plus_state(n).amplitudes).reshape(shape)
@@ -218,33 +240,47 @@ def anneal(problem: IsingProblem, schedule: AnnealSchedule) -> AnnealResult:
                           for lam in (schedule.lambda0, schedule.lambda1)])
     if not (np.isfinite(grid).all() and np.isfinite(midpoints).all()):
         raise ValueError("schedule values must be finite")
+    # Python floats, so an overflow here is a refusal and not a numpy warning.
+    lam0, lam1 = np.abs(midpoints).max(axis=1, initial=0.0).tolist()
+    if not (math.isfinite(lam0 * dt) and math.isfinite(lam1 * dt * float(np.abs(cost).max()))):
+        raise ValueError(f"t_final = {schedule.t_final:g} over {schedule.num_steps} steps "
+                         "makes a step's cost phase or mixer angle overflow")
     angles = midpoints[0] * dt
     row_table = _mixer_table(angles, sides[0])
     column_table = row_table if sides[0] == sides[1] else _mixer_table(angles, sides[1])
     phases = -0.5j * midpoints[1] * dt
 
-    trace = np.empty((steps + 1, 2))  # (sum_i <X_i>, <H1>) on the grid
-    trace[0] = _energy_terms(psi, diagonal, adjacency)
+    block = max(1, _BLOCK_BYTES // psi.nbytes)
+    states = np.empty((min(block, steps),) + shape, dtype=complex)
+    trace = np.empty((2, steps + 1))  # (sum_i <X_i>, <H1>) on the grid
+    trace[:, :1] = _energy_terms(psi[None], diagonal, adjacency)
     max_norm_drift = 0.0
-    for k in range(steps):
-        half_cost = np.exp(phases[k] * diagonal)
-        rows = row_table[k][distances[0]]
-        columns = rows if row_table is column_table else column_table[k][distances[1]]
-        psi = half_cost * (rows @ (half_cost * psi) @ columns)
-        norm = np.sqrt(np.vdot(psi, psi).real)
-        max_norm_drift = max(max_norm_drift, abs(norm - 1.0))
-        psi = psi / norm
-        trace[k + 1] = _energy_terms(psi, diagonal, adjacency)
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
+        half_costs = np.exp(phases[start:stop, None, None] * diagonal)
+        row_mixers = row_table[start:stop, distances[0]]
+        column_mixers = (row_mixers if row_table is column_table
+                         else column_table[start:stop, distances[1]])
+        for half_cost, rows, columns, out in zip(half_costs, row_mixers, column_mixers, states):
+            psi = half_cost * (rows @ (half_cost * psi) @ columns)
+            norm = math.sqrt(np.vdot(psi, psi).real)
+            max_norm_drift = max(max_norm_drift, abs(norm - 1.0))
+            psi = np.divide(psi, norm, out=out)
+        trace[:, start + 1:stop + 1] = _energy_terms(states[:stop - start], diagonal, adjacency)
     state = StateVector(psi.reshape(-1))
-    return AnnealResult(state, times, -grid[0] * trace[:, 0] + grid[1] * trace[:, 1],
-                        anneal_success(state, problem), max_norm_drift)
+    return AnnealResult(state, times, -grid[0] * trace[0] + grid[1] * trace[1],
+                        _ground_probability(state.probabilities(), cost), max_norm_drift)
+
+
+def _ground_probability(probabilities: np.ndarray, diagonal: np.ndarray) -> float:
+    """Total of `probabilities` on the basis states where `diagonal` is least."""
+    ground = diagonal <= np.min(diagonal) + 1e-12
+    return float(np.sum(probabilities[ground]))
 
 
 def anneal_success(state: StateVector, problem: IsingProblem) -> float:
     """Total probability on the computational basis minima of the cost."""
-    diagonal = problem.cost_diagonal()
-    ground = diagonal <= np.min(diagonal) + 1e-12
-    return float(np.sum(state.probabilities()[ground]))
+    return _ground_probability(state.probabilities(), problem.cost_diagonal())
 
 
 def evolve(state: StateVector, hamiltonian: np.ndarray, duration: float,

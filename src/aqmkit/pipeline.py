@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .approx import ApproximationRequest, approximate_single_qubit
 from .circuit import Circuit, Instruction
 from .cost import BudgetCheck, CostRecord, budget_from_cost, estimate_cost
-from .gates import ROTATION_GATES, SINGLE_QUBIT_GATES
+from .gates import FIXED_GATES, ROTATION_GATES, SINGLE_QUBIT_GATES
 from .graphs import DisconnectedError
 from .profiles import DeviceProfile
 from .rewrite import RewriteError, rewrite_to_basis
@@ -56,7 +56,9 @@ class CompilationResult:
 def _approximate_rotations(circuit: Circuit, profile: DeviceProfile, epsilon: float,
                            max_depth: int) -> tuple[Circuit, int]:
     native = profile.native_names()
-    alphabet = tuple(sorted(native & SINGLE_QUBIT_GATES - {"I"}))
+    # Native rotations are continuous, so only the fixed gates can spell a word.
+    alphabet = tuple(sorted(name for name in native & SINGLE_QUBIT_GATES
+                            if name in FIXED_GATES and name != "I"))
     out = Circuit(circuit.num_qubits)
     replaced = 0
     for inst in circuit.instructions:

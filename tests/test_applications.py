@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
+import warnings
 from contextlib import redirect_stdout
 from itertools import permutations, product
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import aqmkit as aq
-from aqmkit import gates, mbqc
+from aqmkit import annealing, gates, mbqc
 from aqmkit.annealing import (MAX_ANNEAL_STEPS, MAX_SPINS, _energy_terms, _hamming,
                               _step_unitary, build_annealing_hamiltonian)
 from aqmkit.graphs import ConnectivityGraph
@@ -131,7 +133,8 @@ class TestAnneal:
             for lam0, lam1 in ((1.0, 0.0), (0.0, 1.0), (0.3, 0.7), (-1.2, 2.5)):
                 psi = aq.StateVector(random_state(rng, n))
                 dense = aq.expectation(psi, build_annealing_hamiltonian(problem, lam0, lam1))
-                mixer, cost = _energy_terms(psi.amplitudes.reshape(shape), diagonal, adjacency)
+                (mixer,), (cost,) = _energy_terms(psi.amplitudes.reshape((1,) + shape),
+                                                  diagonal, adjacency)
                 assert abs(-lam0 * mixer + lam1 * cost - dense) < 1e-12
 
     def test_max_spins_ring_matches_ode_oracle(self):
@@ -212,6 +215,49 @@ class TestAnneal:
         assert result.times[-1] == t_final and len(result.times) == steps + 1
         final = aq.expectation(result.final_state, build_annealing_hamiltonian(problem, 0, 1))
         assert abs(result.energies[-1] - final) < 1e-12
+
+    def test_overflowing_step_is_refused_before_stepping(self):
+        # t_final is finite, but dt * lam1 * max|H1| is not: refused up front,
+        # with no numpy warning on the way.
+        problem = aq.IsingProblem(2, (3.0, 2.0), ((0, 1, 5.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"t_final = 1\.7e\+308 over 1 steps"):
+                aq.anneal(problem, aq.AnnealSchedule(1.7e308, 1))
+
+
+class TestAnnealBlocks:
+    """`anneal` advances a block of steps at a time; the block length must not matter."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", range(1, MAX_SPINS + 1))
+    def test_block_length_leaves_results_unchanged(self, n, block, monkeypatch):
+        problem = _problem(n, "ring", np.random.default_rng(n))
+        for schedule in (aq.AnnealSchedule(1.0, 10), aq.AnnealSchedule(2.0, 23)):
+            default = aq.anneal(problem, schedule)
+            monkeypatch.setattr(annealing, "_BLOCK_BYTES", block * 16 * 2 ** n)
+            blocked = aq.anneal(problem, schedule)
+            monkeypatch.undo()
+            assert np.array_equal(blocked.final_state.amplitudes, default.final_state.amplitudes)
+            assert blocked.max_norm_drift == default.max_norm_drift
+            assert blocked.success_probability == default.success_probability
+            assert np.all(np.abs(blocked.energies - default.energies)
+                          <= 1e-12 * (1 + np.abs(default.energies)))
+
+    def test_memory_grows_by_the_step_tables_alone(self):
+        """Traced peak of a MAX_SPINS anneal: at most about 300 B more per step."""
+        n = MAX_SPINS
+        problem = aq.IsingProblem(n, (0.5,) * n, tuple((i, (i + 1) % n, -1.0) for i in range(n)))
+        peaks = {}
+        for steps in (500, 5000):
+            schedule = aq.AnnealSchedule(1.0, steps)
+            tracemalloc.start()
+            try:
+                aq.anneal(problem, schedule)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[5000] - peaks[500] <= 300 * 4500
 
 
 def _problem(n, couplings, rng):

@@ -385,6 +385,29 @@ class TestTranspile:
         assert code == 2 and out == ""
         assert err.startswith("error: rule failure (operations): RZ(1) not approximable")
 
+    @pytest.fixture()
+    def rotation_profile(self, tmp_path):
+        """The transmon with RY as its only native rotation."""
+        data = profile_to_dict(builtin_profile("superconducting-transmon"))
+        data["native_gates"] = [g for g in data["native_gates"] if g["gate"] not in ("RZ", "RX")]
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(data))
+        circuit = tmp_path / "rz.txt"
+        circuit.write_text("qubits 1\nRZ 0 0.3\n")
+        return str(circuit), str(profile)
+
+    def test_native_rotation_stays_out_of_the_alphabet(self, rotation_profile):
+        # RZ is approximated over the fixed gates alone, and misses epsilon 0.01.
+        circuit, profile = rotation_profile
+        code, out, err = run_cli("transpile", circuit, "--profile", profile)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: rule failure (operations): RZ(0.3) not approximable")
+
+    def test_rotation_beside_a_native_rotation_compiles(self, rotation_profile):
+        circuit, profile = rotation_profile
+        code, out, err = run_cli("transpile", circuit, "--profile", profile, "--epsilon", "0.15")
+        assert code == 0 and out and err == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5"])
     def test_budget_threshold_must_be_finite_and_positive(self, tmp_path, value):
         circuit = tmp_path / "c.txt"
@@ -605,6 +628,17 @@ class TestOtherCommands:
                                      f"--t-final={t_final}")
         assert_one_error_line(code, out, err)
         assert "t_final" in err and caught == []
+
+    def test_anneal_overflowing_step_is_refused(self, tmp_path):
+        # t_final is finite, but a step's cost phase dt * lam1 * max|H1| is not.
+        path = tmp_path / "p.json"
+        path.write_text('{"n": 2, "h": [3, 2], "J": [[0, 1, 5]]}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli("anneal", "--problem", str(path),
+                                     "--t-final", "1.7e308", "--steps", "1")
+        assert_one_error_line(code, out, err)
+        assert "t_final" in err and "1 steps" in err and caught == []
 
     @pytest.mark.parametrize("steps", [MAX_ANNEAL_STEPS + 1, 10 ** 11])
     def test_anneal_steps_cap_rejects_before_annealing(self, problem_path, monkeypatch, steps):

@@ -9,7 +9,7 @@ import aqmkit as aq
 from aqmkit.demand import BUILTIN_DEMAND_NAMES, builtin_demand
 from aqmkit.devices import BUILTIN_PROFILE_NAMES, builtin_profile
 from aqmkit.matcher import report_to_dict
-from aqmkit.profiles import Level
+from aqmkit.profiles import Level, profile_from_dict, profile_to_dict
 
 
 class TestDemandDataset:
@@ -129,6 +129,16 @@ class TestPlanCompensation:
         outcome = aq.plan_compensation(builtin_profile("quantum-memory-ensemble"),
                                        self.bell())
         assert not outcome.ok and outcome.failed_rule == "operations"
+
+    def test_unreachable_rotation_fails_operations(self):
+        # RY is native and RZ is not: RZ(0.3) is approximated over the fixed
+        # gates, misses the default epsilon, and the outcome names the rule.
+        data = profile_to_dict(builtin_profile("superconducting-transmon"))
+        data["native_gates"] = [g for g in data["native_gates"] if g["gate"] not in ("RZ", "RX")]
+        outcome = aq.plan_compensation(profile_from_dict(data),
+                                       aq.Circuit(1).add("RZ", 0, angle=0.3))
+        assert not outcome.ok and outcome.failed_rule == "operations"
+        assert outcome.reason.startswith("RZ(0.3) not approximable")
 
     def test_consistency_with_match(self):
         universal = builtin_demand("circuit-model-universal")
