@@ -15,7 +15,7 @@ from .annealing import (AnnealResult, AnnealSchedule, IsingProblem, anneal,
 from .approx import ApproximationRequest, ApproximationResult, approximate_single_qubit
 from .circuit import Circuit, CircuitError, CircuitParseError, Instruction, format_circuit, \
     parse_circuit
-from .cost import BudgetCheck, CostRecord, check_coherence_budget, estimate_cost
+from .cost import BudgetCheck, CostRecord, estimate_cost
 from .demand import BUILTIN_DEMAND_NAMES, DemandProfile, RuleDemand, builtin_demand
 from .devices import BUILTIN_PROFILE_NAMES, CITED_CONSTANTS, builtin_profile
 from .dilation import DilatedMeasurement, synthesize_measurement

@@ -19,8 +19,8 @@ and one pass the energy of every state of the block, so the numpy calls are
 fixed per block whatever n is; only the block products and the
 renormalisation run step by step. The energy trace takes the cost term from
 the diagonal and the mixer term from the distance-1 matrices.
-`build_annealing_hamiltonian` and `_step_unitary` remain as the dense form,
-and `evolve` exponentiates any dense H exactly.
+`build_annealing_hamiltonian` remains as the dense form, and `evolve`
+exponentiates any dense H exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import gates
 from ._fields import read_integer, read_json, read_list, read_number, read_object
 from .linalg import is_hermitian
 from .simulate import embed_gate
-from .state import StateVector, plus_state
+from .state import StateVector
 
 MAX_SPINS = 12
 
@@ -173,11 +173,6 @@ class AnnealResult:
     max_norm_drift: float = 0.0
 
 
-def _step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
-    eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian)
-    return (eigenvectors * np.exp(-1j * eigenvalues * dt)) @ eigenvectors.conj().T
-
-
 def _hamming(k: int) -> np.ndarray:
     """Hamming distances between the indices of a 2**k-sided matrix."""
     index = np.arange(2 ** k)
@@ -227,9 +222,12 @@ def anneal(problem: IsingProblem, schedule: AnnealSchedule) -> AnnealResult:
     shape = (2 ** sides[0], 2 ** sides[1])
     cost = problem.cost_diagonal()
     diagonal = cost.reshape(shape)
-    distances = [_hamming(k) for k in sides]
-    adjacency = [(d == 1).astype(float) for d in distances]
-    psi = np.array(plus_state(n).amplitudes).reshape(shape)
+    # Tables per side length, so the two equal sides of an even n share theirs.
+    hamming = {k: _hamming(k) for k in set(sides)}
+    ones = {k: (d == 1).astype(float) for k, d in hamming.items()}
+    distances = [hamming[k] for k in sides]
+    adjacency = [ones[k] for k in sides]
+    psi = np.full(shape, 1.0 / np.sqrt(2 ** n), dtype=complex)  # |+>^n
 
     steps = schedule.num_steps if schedule.t_final > 0 else 0
     dt = schedule.t_final / schedule.num_steps
@@ -294,7 +292,9 @@ def evolve(state: StateVector, hamiltonian: np.ndarray, duration: float,
         raise ValueError("Hamiltonian must be Hermitian")
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
-    step = _step_unitary(hamiltonian, duration / num_steps)
+    eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian)
+    step = (eigenvectors * np.exp(-1j * eigenvalues * (duration / num_steps))
+            ) @ eigenvectors.conj().T
     amps = np.array(state.amplitudes)
     for _ in range(num_steps):
         amps = step @ amps

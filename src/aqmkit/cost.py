@@ -72,16 +72,14 @@ def estimate_cost(circuit: Circuit, profile: DeviceProfile) -> CostRecord:
 
 def budget_from_cost(cost: CostRecord, profile: DeviceProfile,
                      threshold: float = 0.01) -> BudgetCheck:
-    """The coherence budget check for a circuit whose cost is already known."""
+    """The coherence budget check of a circuit whose cost is already known.
+
+    It passes iff the serial duration is at most threshold x T2 (the decoupled
+    T2 when known).
+    """
     t2_us = profile.effective_t2_us()
     ratio = cost.total_duration_ns / (t2_us * 1000.0)
     return BudgetCheck(ratio <= threshold, ratio, cost.total_duration_ns, t2_us, threshold)
-
-
-def check_coherence_budget(circuit: Circuit, profile: DeviceProfile,
-                           threshold: float = 0.01) -> BudgetCheck:
-    """Pass iff total serial duration <= threshold * T2 (decoupled T2 if known)."""
-    return budget_from_cost(estimate_cost(circuit, profile), profile, threshold)
 
 
 def cost_to_dict(cost: CostRecord) -> dict:

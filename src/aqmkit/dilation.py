@@ -2,10 +2,13 @@
 
 A K-outcome measurement {m_k} on n qubits becomes one unitary on the system
 plus ceil(log2 K) ancillas followed by a projective computational-basis
-readout of the ancillas: the isometry V|psi> = sum_k (m_k|psi>) (x) |k> is
-completed to a unitary by a complete QR factorization, keeping V's columns
-exactly, and ancilla outcome k reproduces outcome k of the direct
-measurement exactly, post-state included.
+readout of the ancillas: the isometry V|psi> = sum_k (m_k|psi>) (x) |k>,
+whose columns are the set's operator stack, is completed to a unitary by a
+complete QR factorization, keeping V's columns exactly, and ancilla outcome k
+reproduces outcome k of the direct measurement, post-state included. The
+ancillas start in |0...0>, so running the dilation multiplies only the
+unitary's first K 2^n rows and 2^n columns into psi: the other columns only
+ever meet zeros, and no joint vector is built.
 """
 
 from __future__ import annotations
@@ -32,16 +35,12 @@ class DilatedMeasurement:
     unitary: np.ndarray
     num_ancillas: int
 
-    def _outcome_rows(self, state: StateVector) -> list[np.ndarray]:
-        """The unnormalized branch of each outcome, in outcome order."""
+    def _outcome_rows(self, state: StateVector) -> np.ndarray:
+        """Row k: the unnormalized branch of ancilla value k, for each outcome k."""
         if state.num_qubits != self.mset.num_qubits:
             raise ValueError("state qubit count does not match the measurement")
-        dim = 2 ** self.mset.num_qubits
-        joint = np.zeros(self.unitary.shape[0], dtype=complex)
-        joint[:dim] = state.amplitudes  # ancillas initialized to |0...0>
-        joint = self.unitary @ joint
-        rows = joint.reshape(-1, dim)  # row k = unnormalized branch of ancilla value k
-        return list(rows[:self.mset.num_outcomes])
+        rows, dim = self.mset.stack.shape
+        return (self.unitary[:rows, :dim] @ state.amplitudes).reshape(-1, dim)
 
     def branches(self, state: StateVector) -> list[tuple[float, StateVector | None]]:
         """All K outcome probabilities and post-states, deterministically."""
@@ -58,11 +57,9 @@ def synthesize_measurement(mset: MeasurementOperatorSet) -> DilatedMeasurement:
     require_complete(mset)
     k_outcomes = mset.num_outcomes
     num_ancillas = max(1, int(np.ceil(np.log2(k_outcomes)))) if k_outcomes > 1 else 0
-    dim = 2 ** mset.num_qubits
-    total = dim * 2 ** num_ancillas
-    isometry = np.zeros((total, dim), dtype=complex)
-    for k, op in enumerate(mset.operators):
-        isometry[k * dim:(k + 1) * dim, :] = op
+    rows, dim = mset.stack.shape
+    isometry = np.zeros((dim * 2 ** num_ancillas, dim), dtype=complex)
+    isometry[:rows] = mset.stack
     # The complete QR's trailing columns span the complement of V's range.
     q, _ = np.linalg.qr(isometry, mode="complete")
     unitary = np.hstack([isometry, q[:, dim:]])

@@ -65,9 +65,6 @@ class ConnectivityGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def is_complete(self) -> bool:
-        return len(self.edges) == self.num_qubits * (self.num_qubits - 1) // 2
-
     def distances_from(self, source: int) -> dict[int, int]:
         """BFS hop counts from source to every reachable qubit."""
         dist = {source: 0}

@@ -14,7 +14,9 @@ its CZs to the nodes already present are applied then, as in-place sign
 flips of the amplitudes with both edge bits 1. A measured node leaves the
 register. Outputs not yet present enter at the end. CZs commute with each
 other and with every measurement off their nodes, so this gives the state
-of entangling the whole graph first. The register's widest point, the live
+of entangling the whole graph first. A step is one contraction: `apply_gate`
+applies the bras [<+theta|; <-theta|] to the measured qubit, whose two halves
+are then both branches. The register's widest point, the live
 width, follows from the graph, the order and the inputs alone
 (`live_width`); it is capped at `MAX_SIM_QUBITS`, the `simulate` width.
 """
@@ -31,6 +33,7 @@ from . import gates
 from ._fields import (read_integer, read_json, read_list, read_number, read_object,
                       read_qubits, read_string)
 from .graphs import ConnectivityGraph
+from .measure import _probability
 from .simulate import MAX_SIM_QUBITS, apply_gate, generator, pick
 from .state import StateVector
 
@@ -179,17 +182,6 @@ def _enter(amps: np.ndarray, live: list[int], nodes: list[int],
     _entangle(amps, edges, len(live))
 
 
-def _project_out(amps: np.ndarray, axis_qubits: list[int], qubit: int,
-                 basis_vector: np.ndarray) -> tuple[float, np.ndarray]:
-    """Overlap-project one qubit onto basis_vector and drop it from the register."""
-    m = len(axis_qubits)
-    tensor = amps.reshape((2,) * m)
-    axis = m - 1 - axis_qubits.index(qubit)
-    projected = np.tensordot(np.conj(basis_vector), tensor, axes=(0, axis)).reshape(-1)
-    prob = float(np.real(np.vdot(projected, projected)))
-    return prob, projected
-
-
 def mbqc_execute(pattern: MeasurementPattern, input_state: StateVector | None = None,
                  seed: int = 0, rng: np.random.Generator | None = None,
                  forced_outcomes=None) -> MbqcResult:
@@ -223,22 +215,22 @@ def mbqc_execute(pattern: MeasurementPattern, input_state: StateVector | None = 
             break
         sign = (-1) ** sum(outcomes[d] for d in step.sign_deps)
         theta = sign * step.angle
-        phase = np.exp(1j * theta)
-        plus = np.array([1.0, phase], dtype=complex) / np.sqrt(2.0)
-        minus = np.array([1.0, -phase], dtype=complex) / np.sqrt(2.0)
-        p_plus, projected_plus = _project_out(amps, live, step.qubit, plus)
+        phase = np.conj(np.exp(1j * theta))
+        # Rows <+theta| and <-theta|: the measured qubit's halves become the two branches.
+        bras = np.array([[1.0, phase], [1.0, -phase]], dtype=complex) / np.sqrt(2.0)
+        position = live.index(step.qubit)
+        halves = apply_gate(amps, bras, [position], len(live)).reshape(-1, 2, 2 ** position)
+        p_plus = _probability(halves[:, 0, :])
         if forced_outcomes is not None:
             outcome = int(forced_outcomes[index])
         else:
             outcome = pick((p_plus, 1.0 - p_plus), rng)
-        if outcome == 0:
-            prob, projected = p_plus, projected_plus
-        else:
-            prob, projected = _project_out(amps, live, step.qubit, minus)
+        branch = halves[:, outcome, :]
+        prob = p_plus if outcome == 0 else _probability(branch)
         if prob < 1e-12:
             raise ValueError(
                 f"outcome {outcome} on qubit {step.qubit} has probability ~0")
-        amps = projected / np.sqrt(prob)
+        amps = (branch / np.sqrt(prob)).reshape(-1)
         live.remove(step.qubit)
         outcomes[step.qubit] = outcome
 

@@ -2,7 +2,9 @@
 
 A measurement on n qubits is a set of 2^n x 2^n operators {m_k} with
 sum_k m_k^dag m_k = I. Outcome k occurs with probability <psi|m_k^dag m_k|psi>
-and leaves the state m_k|psi> / sqrt(p_k). The outcome is drawn by
+and leaves the state m_k|psi> / sqrt(p_k). A set holds its operators as one
+(K 2^n, 2^n) stack, so every branch m_k|psi> comes from one product,
+stack @ psi, read as a (K, 2^n) array of rows. The outcome is drawn by
 ``simulate.pick``, the rule every measurement branch in the package uses.
 """
 
@@ -28,11 +30,14 @@ class CompletenessCheck:
 class MeasurementOperatorSet:
     """Ordered operators m_1..m_K over a fixed qubit count (K >= 1, any K).
 
-    `completeness` is checked once here: the operators are read-only copies.
+    The operators are copied once into `stack`, the read-only (K 2^n, 2^n)
+    matrix with m_k in rows k 2^n to (k + 1) 2^n; `operators` holds read-only
+    views of it. `completeness` is checked once here.
     """
 
     num_qubits: int
     operators: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, compare=False, repr=False)
     completeness: CompletenessCheck = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -41,18 +46,17 @@ class MeasurementOperatorSet:
         if len(self.operators) < 1:
             raise ValueError("need at least one operator")
         dim = 2 ** self.num_qubits
-        ops = []
-        for i, op in enumerate(self.operators):
-            op = np.asarray(op, dtype=complex)
+        ops = [np.asarray(op, dtype=complex) for op in self.operators]
+        for i, op in enumerate(ops):
             if op.shape != (dim, dim):
                 raise ValueError(f"operator {i} has shape {op.shape}, expected {(dim, dim)}")
             if not np.all(np.isfinite(op.view(float))):
                 raise ValueError(f"operator {i} has non-finite entries")
-            op = op.copy()
-            op.setflags(write=False)
-            ops.append(op)
+        ops = np.array(ops)
+        ops.setflags(write=False)
         object.__setattr__(self, "operators", tuple(ops))
-        total = sum(op.conj().T @ op for op in ops)
+        object.__setattr__(self, "stack", ops.reshape(-1, dim))
+        total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
         deviation = float(np.max(np.abs(total - np.eye(dim))))
         object.__setattr__(self, "completeness",
                            CompletenessCheck(deviation <= COMPLETENESS_TOL, deviation))
@@ -72,8 +76,11 @@ def _probability(row: np.ndarray) -> float:
     return float(np.real(np.vdot(row, row)))
 
 
-def normalized_branches(rows) -> list[tuple[float, StateVector | None]]:
-    """(probability, post-state) of each unnormalized branch; None below ZERO_PROB."""
+def normalized_branches(rows: np.ndarray) -> list[tuple[float, StateVector | None]]:
+    """(probability, post-state) of each unnormalized branch, a row of a (K, m) array.
+
+    The post-state is None below ZERO_PROB.
+    """
     branches: list[tuple[float, StateVector | None]] = []
     for row in rows:
         prob = _probability(row)
@@ -88,12 +95,15 @@ def require_complete(mset: MeasurementOperatorSet) -> None:
         raise ValueError(f"measurement set is not complete (deviation {check.max_deviation:.3e})")
 
 
-def _branch_rows(mset: MeasurementOperatorSet, state: StateVector) -> list[np.ndarray]:
-    """The unnormalized branches m_k|psi>, after checking completeness and size."""
+def _branch_rows(mset: MeasurementOperatorSet, state: StateVector) -> np.ndarray:
+    """The unnormalized branches m_k|psi>: the rows of stack @ psi, read as (K, 2^n).
+
+    Completeness and the state's size are checked first.
+    """
     require_complete(mset)
     if state.num_qubits != mset.num_qubits:
         raise ValueError("state and measurement set qubit counts differ")
-    return [op @ state.amplitudes for op in mset.operators]
+    return (mset.stack @ state.amplitudes).reshape(mset.num_outcomes, -1)
 
 
 def measurement_branches(mset: MeasurementOperatorSet, state: StateVector,
@@ -106,13 +116,14 @@ def measurement_branches(mset: MeasurementOperatorSet, state: StateVector,
     return normalized_branches(_branch_rows(mset, state))
 
 
-def draw_branch(rows: list[np.ndarray], seed: int = 0,
+def draw_branch(rows: np.ndarray, seed: int = 0,
                 rng: np.random.Generator | None = None,
                 ) -> tuple[int, float, StateVector]:
     """Sample one unnormalized branch by probability: (index, probability, post-state).
 
-    ``pick`` draws the index from the rows' squared norms; only the drawn
-    branch is normalized into a ``StateVector``.
+    `rows` is a (K, m) array with one branch per row. ``pick`` draws the index
+    from the rows' squared norms; only the drawn branch is normalized into a
+    ``StateVector``.
     """
     probs = [_probability(row) for row in rows]
     index = pick(probs, generator(seed, rng))
@@ -131,9 +142,9 @@ def apply_measurement(mset: MeasurementOperatorSet, state: StateVector, seed: in
 def initialization_set(target: StateVector) -> MeasurementOperatorSet:
     """The measurement {|target><j|} whose every branch prepares `target`."""
     dim = target.amplitudes.size
-    column = target.amplitudes.reshape(dim, 1)
-    ops = tuple(column @ np.eye(dim, dtype=complex)[j].reshape(1, dim) for j in range(dim))
-    return MeasurementOperatorSet(target.num_qubits, ops)
+    ops = np.zeros((dim, dim, dim), dtype=complex)
+    ops[np.arange(dim), :, np.arange(dim)] = target.amplitudes  # column j of op j
+    return MeasurementOperatorSet(target.num_qubits, tuple(ops))
 
 
 def initialize_via_measurement(target: StateVector, input_state: StateVector,

@@ -8,7 +8,9 @@ every measurement branch enumerated instead of shots sampled, one 2x2
 product at a time instead of one array operation per search level, one
 single-qubit mixer pass per spin instead of two Hamming-distance block
 products per annealing step, the whole MBQC graph state built before the
-first measurement instead of each node entering as it goes live.
+first measurement instead of each node entering as it goes live, and each
+MBQC outcome's bra contracted alone by tensordot instead of both bras in one
+``apply_gate``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from aqmkit import gates
 from aqmkit.annealing import AnnealResult, AnnealSchedule, IsingProblem, anneal_success
 from aqmkit.circuit import Circuit
 from aqmkit.graphs import ConnectivityGraph
-from aqmkit.mbqc import MbqcResult, MeasurementPattern, _entangle, _project_out, _relabel
+from aqmkit.mbqc import MbqcResult, MeasurementPattern, _entangle, _relabel
 from aqmkit.simulate import apply_gate, generator, pick
 from aqmkit.state import StateVector, plus_state
 
@@ -308,6 +310,17 @@ def _initial_register(pattern: MeasurementPattern,
     low_inputs = np.tile(input_state.amplitudes * 2.0 ** (-free / 2), 2 ** free)
     sources = list(pattern.inputs) + [q for q in range(n) if q not in pattern.inputs]
     return _relabel(low_inputs, [sources.index(q) for q in range(n)])
+
+
+def _project_out(amps: np.ndarray, axis_qubits: list[int], qubit: int,
+                 basis_vector: np.ndarray) -> tuple[float, np.ndarray]:
+    """Overlap-project one qubit onto basis_vector and drop it from the register."""
+    m = len(axis_qubits)
+    tensor = amps.reshape((2,) * m)
+    axis = m - 1 - axis_qubits.index(qubit)
+    projected = np.tensordot(np.conj(basis_vector), tensor, axes=(0, axis)).reshape(-1)
+    prob = float(np.real(np.vdot(projected, projected)))
+    return prob, projected
 
 
 def oracle_mbqc_execute(pattern: MeasurementPattern, input_state: StateVector | None = None,

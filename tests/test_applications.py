@@ -15,7 +15,7 @@ import pytest
 import aqmkit as aq
 from aqmkit import annealing, gates, mbqc
 from aqmkit.annealing import (MAX_ANNEAL_STEPS, MAX_SPINS, _energy_terms, _hamming,
-                              _step_unitary, build_annealing_hamiltonian)
+                              build_annealing_hamiltonian)
 from aqmkit.graphs import ConnectivityGraph
 from aqmkit.cli import main
 from aqmkit.simulate import MAX_SIM_QUBITS, apply_gate, embed_gate
@@ -30,7 +30,8 @@ def fine_step_anneal(problem, t_final, num_steps=50000):
     for k in range(num_steps):
         t = (k + 0.5) * dt
         h = build_annealing_hamiltonian(problem, 1 - t / t_final, t / t_final)
-        amps = _step_unitary(h, dt) @ amps
+        eigenvalues, eigenvectors = np.linalg.eigh(h)
+        amps = (eigenvectors * np.exp(-1j * eigenvalues * dt)) @ eigenvectors.conj().T @ amps
     return aq.StateVector(amps / np.linalg.norm(amps))
 
 
@@ -536,9 +537,11 @@ class TestEntangling:
 
     def test_seeded_stdout_is_pinned(self, tmp_path):
         # Prefixes of the sha256 of stdout as the live-register executor prints
-        # it. The whole-register executor printed 4f73837bcbf8f3be and
-        # 9ce03a6998b4782c: its outcomes and byproducts were the ones below,
-        # and its amplitudes (`oracle_mbqc_execute`) agree within 1e-12.
+        # it, with both branches of a step from one contraction. Projecting each
+        # branch with its own tensordot printed a91ef5374526b22c and
+        # 0d5bc2a21fdc88e6, and the whole-register executor 4f73837bcbf8f3be
+        # and 9ce03a6998b4782c: their outcomes and byproducts were the ones
+        # below, and their amplitudes (`oracle_mbqc_execute`) agree within 1e-12.
         path = tmp_path / "grid.json"
         path.write_text(grid_pattern_json(np.random.Generator(np.random.PCG64(5))))
         grid_outcomes = {"0": 1, "1": 0, "2": 0, "4": 1, "5": 0, "6": 1, "8": 1, "9": 0,
@@ -548,9 +551,9 @@ class TestEntangling:
         euler_outcomes = {"0": 1, "1": 1, "2": 1, "3": 0}
         for argv, pattern, prefix, outcomes, byproduct in (
                 (["--pattern", str(path)], aq.parse_pattern(path.read_text()),
-                 "a91ef5374526b22c", grid_outcomes, grid_byproduct),
+                 "30f4ae11b7efe17a", grid_outcomes, grid_byproduct),
                 (["--euler", "0.1", "0.2", "0.3"], aq.euler_rotation_pattern(0.1, 0.2, 0.3),
-                 "0d5bc2a21fdc88e6", euler_outcomes, {"4": {"x": 1, "z": 0}})):
+                 "d0c505890f675533", euler_outcomes, {"4": {"x": 1, "z": 0}})):
             code, out = run_mbqc_cli(*argv, "--seed", "5", "--json")
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
@@ -638,6 +641,32 @@ class TestMbqc:
         expected = oracle_reorder(survivors, [0, 2, 3], outputs)
         result = aq.mbqc_execute(pattern, psi, forced_outcomes=[0])
         assert np.allclose(result.output_state.amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_one_contraction_per_measured_node(self, monkeypatch):
+        # With no byproducts, every apply_gate call is a measurement step's
+        # contraction; both branches come from it, so outcome 1 costs no second one.
+        rng = np.random.default_rng(73)
+        graph = ConnectivityGraph.grid(2, 4)
+        order = [0, 4, 1, 5, 2, 6]
+        pattern = aq.MeasurementPattern(
+            graph, tuple(aq.PatternStep(q, float(a))
+                         for q, a in zip(order, rng.uniform(-np.pi, np.pi, len(order)))),
+            outputs=(3, 7), inputs=(0, 4))
+        psi = aq.StateVector(random_state(rng, 2))
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return apply_gate(*args)
+
+        monkeypatch.setattr(mbqc, "apply_gate", counting)
+        forced = [1] * len(order)
+        result = aq.mbqc_execute(pattern, psi, forced_outcomes=forced)
+        assert calls == [(2, 2)] * len(order)
+        assert result.outcomes == dict.fromkeys(order, 1)
+        oracle = oracle_mbqc_execute(pattern, psi, forced_outcomes=forced)
+        assert np.max(np.abs(result.output_state.amplitudes
+                             - oracle.output_state.amplitudes)) <= 1e-12
 
     def test_sampled_execution_deterministic_per_seed(self):
         pattern = aq.euler_rotation_pattern(0.3, 0.5, 0.7)

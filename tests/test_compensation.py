@@ -8,6 +8,7 @@ import pytest
 import aqmkit as aq
 from aqmkit import approx, gates
 from aqmkit import cost as cost_module
+from aqmkit.cost import budget_from_cost
 from aqmkit import pipeline
 from aqmkit.devices import BUILTIN_PROFILE_NAMES, builtin_profile
 from aqmkit.graphs import ConnectivityGraph
@@ -505,7 +506,7 @@ class TestCost:
         # Judge against the base T2* figure of 300 us (no decoupling).
         from dataclasses import replace
         base = replace(transmon, t2_dd_us=None)
-        check = aq.check_coherence_budget(c, base)
+        check = budget_from_cost(aq.estimate_cost(c, base), base)
         assert check.ok
         assert check.ratio == pytest.approx(80.0 / 300e3, rel=1e-9)
 
@@ -516,14 +517,14 @@ class TestCost:
         from dataclasses import replace
         tiny = replace(ion, t2_us=50.0, t2_dd_us=None)  # 50 us
         c.add("CNOT", 0, 1)  # 100 us = 2 x T2
-        assert not aq.check_coherence_budget(c, tiny, threshold=0.01).ok
-        assert not aq.check_coherence_budget(c, tiny, threshold=1.0).ok
+        assert not budget_from_cost(aq.estimate_cost(c, tiny), tiny, threshold=0.01).ok
+        assert not budget_from_cost(aq.estimate_cost(c, tiny), tiny, threshold=1.0).ok
 
     def test_budget_threshold_one(self):
         from dataclasses import replace
         ion = replace(builtin_profile("trapped-ion"), t2_us=200.0, t2_dd_us=None)
         c = aq.Circuit(2).add("CNOT", 0, 1)  # 100 us = T2 / 2
-        assert aq.check_coherence_budget(c, ion, threshold=1.0).ok
+        assert budget_from_cost(aq.estimate_cost(c, ion), ion, threshold=1.0).ok
 
     def test_measure_and_reset_priced_as_measurements(self):
         transmon = builtin_profile("superconducting-transmon")
@@ -545,8 +546,8 @@ class TestCost:
             except aq.CompensationError:
                 continue
             compiled += 1
-            assert result.budget == aq.check_coherence_budget(result.circuit, profile,
-                                                              threshold)
+            assert result.budget == budget_from_cost(
+                aq.estimate_cost(result.circuit, profile), profile, threshold)
         assert compiled >= 1
 
     def test_compile_costs_the_circuit_once(self, monkeypatch):

@@ -168,7 +168,8 @@ class TestGoldenDataset:
         p = builtin_profile("trapped-ion")
         assert p.t2_us == 5.5e9  # 5500 s
         assert p.gate_spec("CNOT").fidelity == 0.999
-        assert p.connectivity.is_complete()
+        n = p.connectivity.num_qubits
+        assert len(p.connectivity.edges) == n * (n - 1) // 2  # all-to-all
 
     def test_neutral_atom(self):
         p = builtin_profile("neutral-atom")

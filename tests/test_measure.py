@@ -111,6 +111,23 @@ class TestApplication:
                 if post is not None:
                     assert abs(np.linalg.norm(post.amplitudes) - 1) < 1e-10
 
+    @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_branches_are_each_operator_times_the_state(self, n, k, seed):
+        # One product of the stacked operators forms every branch; each equals
+        # its own operator's product with the state bit for bit.
+        rng = np.random.default_rng(seed)
+        mset = aq.MeasurementOperatorSet(n, tuple(random_measurement_set(rng, n, k)))
+        psi = aq.StateVector(random_state(rng, n))
+        branches = aq.measurement_branches(mset, psi)
+        assert len(branches) == k
+        for op, (prob, post) in zip(mset.operators, branches):
+            row = op @ psi.amplitudes
+            assert prob == float(np.real(np.vdot(row, row)))
+            if prob < ZERO_PROB:
+                assert post is None
+            else:
+                assert np.array_equal(post.amplitudes, row / np.sqrt(prob))
+
     def test_zero_probability_never_sampled(self):
         mset = aq.MeasurementOperatorSet(1, (P0, P1))
         for seed in range(20):
