@@ -36,6 +36,6 @@ print("\nantiferromagnet P(01) + P(10):", round(probs[1] + probs[2], 6))
 # The same engine drives fixed-Hamiltonian dynamics (analogue simulation).
 from aqmkit.annealing import build_annealing_hamiltonian
 h_cost = build_annealing_hamiltonian(pair, 0.0, 1.0)
-evolved = aq.evolve(aq.plus_state(2), h_cost, duration=3.0, num_steps=1)
+evolved = aq.evolve(aq.plus_state(2), h_cost, duration=3.0)
 print("fixed-H evolution keeps norm:", round(float(abs(evolved.amplitudes @
       evolved.amplitudes.conj())), 12))

@@ -19,8 +19,9 @@ and one pass the energy of every state of the block, so the numpy calls are
 fixed per block whatever n is; only the block products and the
 renormalisation run step by step. The energy trace takes the cost term from
 the diagonal and the mixer term from the distance-1 matrices.
-`build_annealing_hamiltonian` remains as the dense form, and `evolve`
-exponentiates any dense H exactly.
+`build_annealing_hamiltonian` remains as the dense form, its mixer set
+entry by entry (-X_i is -1 at (k, k XOR 2**i)), and `evolve` exponentiates
+any dense H exactly.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import gates
 from ._fields import read_integer, read_json, read_list, read_number, read_object
 from .linalg import is_hermitian
-from .simulate import embed_gate
 from .state import StateVector
 
 MAX_SPINS = 12
@@ -77,6 +76,10 @@ class IsingProblem:
             if not np.isfinite(strength):
                 raise ValueError("coupling strengths must be finite")
             couplings.append((i, j, strength))
+        # Python floats, so a cost that overflows is a refusal here and not a
+        # numpy warning in cost_diagonal.
+        if not math.isfinite(sum(map(abs, fields)) + sum(abs(c[2]) for c in couplings)):
+            raise ValueError("the sum of |h| and |J| must be finite")
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "couplings", tuple(couplings))
 
@@ -113,9 +116,10 @@ def build_annealing_hamiltonian(problem: IsingProblem, lam0: float, lam1: float)
     dim = 2 ** n
     h = np.diag(lam1 * problem.cost_diagonal()).astype(complex)
     if lam0 != 0.0:
+        # X_i flips bit i, so -X_i is -1 at (k, k XOR 2**i).
+        index = np.arange(dim)[:, None]
         mixer = np.zeros((dim, dim), dtype=complex)
-        for i in range(n):
-            mixer -= embed_gate(gates.X, [i], n)
+        mixer[index, index ^ (1 << np.arange(n))] = -1.0
         h = h + lam0 * mixer
     return h
 
@@ -281,21 +285,18 @@ def anneal_success(state: StateVector, problem: IsingProblem) -> float:
     return _ground_probability(state.probabilities(), problem.cost_diagonal())
 
 
-def evolve(state: StateVector, hamiltonian: np.ndarray, duration: float,
-           num_steps: int = 1) -> StateVector:
-    """Fixed-Hamiltonian dynamics: the analogue-simulation use of the engine."""
+def evolve(state: StateVector, hamiltonian: np.ndarray, duration: float) -> StateVector:
+    """Fixed-Hamiltonian dynamics: the analogue-simulation use of the engine.
+
+    exp(-i H duration) is formed exactly from the eigendecomposition of H.
+    """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     dim = state.amplitudes.size
     if hamiltonian.shape != (dim, dim):
         raise ValueError(f"Hamiltonian shape {hamiltonian.shape} does not match state")
     if not is_hermitian(hamiltonian):
         raise ValueError("Hamiltonian must be Hermitian")
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
     eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian)
-    step = (eigenvectors * np.exp(-1j * eigenvalues * (duration / num_steps))
-            ) @ eigenvectors.conj().T
-    amps = np.array(state.amplitudes)
-    for _ in range(num_steps):
-        amps = step @ amps
+    propagator = (eigenvectors * np.exp(-1j * eigenvalues * duration)) @ eigenvectors.conj().T
+    amps = propagator @ state.amplitudes
     return StateVector(amps / np.linalg.norm(amps))

@@ -225,7 +225,7 @@ def cmd_walk(args) -> int:
                      EXIT_USAGE)
     coin = _COINS[args.coin]
     start = np.array([1.0, 0.0] if args.coin_state == 0 else [0.0, 1.0], dtype=complex)
-    spec = WalkSpec(args.steps, max(args.steps, 1), coin, start)
+    spec = WalkSpec(args.steps, coin, start)
     distribution = walk_final(spec)
     ordered = dict(sorted(distribution.items()))
     if args.json:

@@ -6,10 +6,10 @@ multiplies them by the gate in one matrix product. ``_fused`` is the one
 gate fusion: runs of gates within two qubits become one 4x4 block, and
 ``apply_circuit``, the ``sample_counts`` walk and ``circuit_unitary`` (the
 identity's columns as a batch) all apply its blocks with ``apply_gate``.
-``embed_gate`` builds the explicit 2^n-dimensional operator for the callers
-that want a dense matrix: the dense annealing Hamiltonian and the test
-oracles. Gate matrices are unitary by construction (a read-only table,
-finite angles) and are not re-checked.
+``embed_gate`` is the same kernel applied to the identity: it checks one gate
+and returns its explicit 2^n-dimensional operator, for the callers that want
+a dense matrix (the test oracles). Gate matrices are unitary by construction
+(a read-only table, finite angles) and are not re-checked.
 ``pick`` draws every single measurement outcome, here and in ``measure`` and
 ``mbqc``. MEASURE draws a computational basis outcome for one qubit and
 collapses the state, reading and zeroing the qubit's halves through the
@@ -80,19 +80,12 @@ def pick(probs, rng: np.random.Generator) -> int:
     return int(live[-1])
 
 
-def _spread(value: int, positions) -> int:
-    """Scatter bit j of value to bit positions[j]."""
-    out = 0
-    for j, p in enumerate(positions):
-        out |= ((value >> j) & 1) << p
-    return out
-
-
 def embed_gate(gate: np.ndarray, targets, num_qubits: int) -> np.ndarray:
     """Dense 2^n operator acting as `gate` on `targets`, identity elsewhere.
 
     Gate-local qubit j maps to circuit qubit targets[j] (little-endian on
-    both sides).
+    both sides). The operator is ``apply_gate`` on the identity's columns,
+    as in ``circuit_unitary``.
     """
     gate = np.asarray(gate, dtype=complex)
     targets = list(targets)
@@ -106,14 +99,7 @@ def embed_gate(gate: np.ndarray, targets, num_qubits: int) -> np.ndarray:
             raise ValueError(f"target {t} out of range for {num_qubits} qubit(s)")
     if not is_unitary(gate):
         raise ValueError("gate matrix is not unitary")
-
-    rest = [q for q in range(num_qubits) if q not in set(targets)]
-    full = np.zeros((2 ** num_qubits, 2 ** num_qubits), dtype=complex)
-    local = np.array([_spread(g, targets) for g in range(2 ** k)])
-    for r in range(2 ** len(rest)):
-        idx = _spread(r, rest) + local
-        full[np.ix_(idx, idx)] = gate
-    return full
+    return apply_gate(np.eye(2 ** num_qubits, dtype=complex), gate, targets, num_qubits)
 
 
 def apply_gate(amps: np.ndarray, gate: np.ndarray, targets, num_qubits: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 One step applies the coin unitary to the coin register, then the conditional
 shift |0><0| (x) (move -1) + |1><1| (x) (move +1). The walker starts at 0
-on -W..W with W at least num_steps, so nothing ever reaches the boundary.
+on -W..W with W = num_steps, so nothing ever reaches the boundary.
 The classical reference measures the coin every step, which reduces the
 evolution to a symmetric random walk on the probabilities.
 """
@@ -27,7 +27,6 @@ MAX_WALK_STEPS = 8000
 @dataclass(frozen=True, eq=False)
 class WalkSpec:
     num_steps: int
-    line_half_width: int
     coin_unitary: np.ndarray = field(default_factory=lambda: H.copy())
     initial_coin: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0], complex))
 
@@ -40,9 +39,6 @@ class WalkSpec:
         start = np.asarray(self.initial_coin, dtype=complex)
         if start.shape != (2,) or abs(np.linalg.norm(start) - 1.0) > 1e-10:
             raise ValueError("initial_coin must be a normalized 2-vector")
-        if self.line_half_width < self.num_steps:
-            raise ValueError(
-                "line_half_width must be >= num_steps (walker would hit the boundary)")
         object.__setattr__(self, "coin_unitary", coin)
         object.__setattr__(self, "initial_coin", start)
 
@@ -54,7 +50,7 @@ def _distribution(amps: np.ndarray, half_width: int) -> dict[int, float]:
 
 def _walk_amplitudes(spec: WalkSpec) -> Iterator[np.ndarray]:
     """The (coin, position) amplitude array after 0..num_steps steps, in turn."""
-    width = spec.line_half_width
+    width = spec.num_steps
     length = 2 * width + 1
     amps = np.zeros((2, length), dtype=complex)
     amps[:, width] = spec.initial_coin
@@ -70,19 +66,19 @@ def _walk_amplitudes(spec: WalkSpec) -> Iterator[np.ndarray]:
 
 def walk_run(spec: WalkSpec) -> list[dict[int, float]]:
     """Position distributions after 0..num_steps steps (coin traced out)."""
-    return [_distribution(amps, spec.line_half_width) for amps in _walk_amplitudes(spec)]
+    return [_distribution(amps, spec.num_steps) for amps in _walk_amplitudes(spec)]
 
 
 def walk_final(spec: WalkSpec) -> dict[int, float]:
     """``walk_run(spec)[-1]`` without keeping the earlier distributions."""
     for amps in _walk_amplitudes(spec):
         pass
-    return _distribution(amps, spec.line_half_width)
+    return _distribution(amps, spec.num_steps)
 
 
 def classical_walk_run(spec: WalkSpec) -> list[dict[int, float]]:
     """Reference walk with the coin measured each step: symmetric diffusion."""
-    width = spec.line_half_width
+    width = spec.num_steps
     length = 2 * width + 1
     probs = np.zeros(length)
     probs[width] = 1.0
@@ -101,14 +97,14 @@ def walk_variance_exponent(spec: WalkSpec, t_min: int, t_max: int,
     """Least-squares slope of log spread vs log t over integer t in [t_min, t_max].
 
     Spread is the mean squared displacement from the start at 0, so a
-    deterministic shift gives exactly t^2 and exponent 2.
+    deterministic shift gives exactly t^2 and exponent 2. The walk takes
+    `spec`'s coin and start and runs t_max steps.
     """
     if not 1 <= t_min < t_max:
         raise ValueError("need 1 <= t_min < t_max")
     if t_max - t_min + 1 < 3:
         raise ValueError("degenerate fit: fewer than 3 time points")
-    # WalkSpec re-validates that the line is wide enough for t_max steps.
-    run_spec = WalkSpec(t_max, spec.line_half_width, spec.coin_unitary, spec.initial_coin)
+    run_spec = WalkSpec(t_max, spec.coin_unitary, spec.initial_coin)
     history = classical_walk_run(run_spec) if classical else walk_run(run_spec)
     times = np.arange(t_min, t_max + 1)
     spreads = np.array([sum(p * x ** 2 for x, p in history[t].items()) for t in times])

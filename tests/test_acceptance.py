@@ -158,11 +158,11 @@ def test_criterion_5_annealing():
 
 
 def test_criterion_6_quantum_walk():
-    dist = aq.walk_run(aq.WalkSpec(2, 2))[2]
+    dist = aq.walk_run(aq.WalkSpec(2))[2]
     hand = {-2: 0.25, 0: 0.5, 2: 0.25}
     dist_ok = set(dist) == set(hand) and all(abs(dist[x] - hand[x]) < 1e-10 for x in hand)
-    alpha_q = aq.walk_variance_exponent(aq.WalkSpec(100, 100), 10, 100)
-    alpha_c = aq.walk_variance_exponent(aq.WalkSpec(100, 100), 10, 100, classical=True)
+    alpha_q = aq.walk_variance_exponent(aq.WalkSpec(100), 10, 100)
+    alpha_c = aq.walk_variance_exponent(aq.WalkSpec(100), 10, 100, classical=True)
     ok = dist_ok and 1.8 <= alpha_q <= 2.05 and 0.9 <= alpha_c <= 1.1
     assert report(6, ok, f"t=2 distribution exact: {dist_ok}; quantum alpha "
                          f"{alpha_q:.3f} in [1.8, 2.05]; classical alpha {alpha_c:.3f} "

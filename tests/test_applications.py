@@ -226,6 +226,18 @@ class TestAnneal:
             with pytest.raises(ValueError, match=r"t_final = 1\.7e\+308 over 1 steps"):
                 aq.anneal(problem, aq.AnnealSchedule(1.7e308, 1))
 
+    def test_overflowing_cost_is_refused_at_construction(self):
+        # Every term is finite, but the cost diagonal would overflow: refused
+        # with no numpy warning, before any schedule is read.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the sum of \|h\| and \|J\| must be finite$"):
+                aq.IsingProblem(2, (1e308, 1e308), ((0, 1, 1e308),))
+            with pytest.raises(ValueError, match="must be finite"):
+                aq.IsingProblem.from_json('{"n": 2, "h": [0, 0], "J": [[0, 1, 1e308], [1, 0, -1e308]]}')
+            edge = aq.IsingProblem(1, (1.7e308,))
+            assert aq.anneal_success(aq.plus_state(1), edge) == pytest.approx(0.5)
+
 
 class TestAnnealBlocks:
     """`anneal` advances a block of steps at a time; the block length must not matter."""
@@ -330,7 +342,7 @@ class TestEvolve:
 
     def test_rabi_flip(self):
         # X drive for time pi/... H = X, t = pi/2 maps |0> to -i|1>.
-        out = aq.evolve(aq.basis_state(1, 0), gates.X.astype(complex), np.pi / 2, num_steps=10)
+        out = aq.evolve(aq.basis_state(1, 0), gates.X.astype(complex), np.pi / 2)
         assert aq.fidelity(out, aq.basis_state(1, 1)) >= 1 - 1e-10
 
     def test_rejects_non_hermitian(self):
@@ -344,59 +356,67 @@ class TestEvolve:
 
 class TestWalk:
     def test_zero_steps(self):
-        assert aq.walk_run(aq.WalkSpec(0, 1))[0] == {0: 1.0}
+        assert aq.walk_run(aq.WalkSpec(0))[0] == {0: 1.0}
 
     def test_one_step_hadamard(self):
-        dist = aq.walk_run(aq.WalkSpec(1, 1))[1]
+        dist = aq.walk_run(aq.WalkSpec(1))[1]
         assert dist[-1] == pytest.approx(0.5, abs=1e-12)
         assert dist[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_two_step_hadamard(self):
-        dist = aq.walk_run(aq.WalkSpec(2, 2))[2]
+        dist = aq.walk_run(aq.WalkSpec(2))[2]
         assert dist[-2] == pytest.approx(0.25, abs=1e-10)
         assert dist[0] == pytest.approx(0.5, abs=1e-10)
         assert dist[2] == pytest.approx(0.25, abs=1e-10)
 
     def test_distributions_normalized(self):
-        history = aq.walk_run(aq.WalkSpec(40, 40))
+        history = aq.walk_run(aq.WalkSpec(40))
         for dist in history:
             assert abs(sum(dist.values()) - 1.0) <= 1e-10
 
     def test_quantum_exponent_ballistic(self):
-        alpha = aq.walk_variance_exponent(aq.WalkSpec(100, 100), 10, 100)
+        alpha = aq.walk_variance_exponent(aq.WalkSpec(100), 10, 100)
         assert 1.8 <= alpha <= 2.05
 
     def test_classical_exponent_diffusive(self):
-        alpha = aq.walk_variance_exponent(aq.WalkSpec(100, 100), 10, 100, classical=True)
+        alpha = aq.walk_variance_exponent(aq.WalkSpec(100), 10, 100, classical=True)
         assert 0.9 <= alpha <= 1.1
 
     def test_classical_matches_binomial_oracle(self):
         from oracles import binomial_walk_distribution
-        history = aq.classical_walk_run(aq.WalkSpec(12, 12))
+        history = aq.classical_walk_run(aq.WalkSpec(12))
         expected = binomial_walk_distribution(12)
         assert set(history[12]) == set(expected)
         for x, p in expected.items():
             assert history[12][x] == pytest.approx(p, abs=1e-12)
 
     def test_deterministic_shift_exact_square(self):
-        spec = aq.WalkSpec(50, 50, gates.I2, np.array([0.0, 1.0], complex))
+        spec = aq.WalkSpec(50, gates.I2, np.array([0.0, 1.0], complex))
         history = aq.walk_run(spec)
         for t in (1, 10, 50):
             assert history[t] == {t: pytest.approx(1.0, abs=1e-12)}
         alpha = aq.walk_variance_exponent(spec, 10, 50)
         assert alpha == pytest.approx(2.0, abs=1e-9)
 
-    def test_boundary_overflow_rejected(self):
-        with pytest.raises(ValueError, match="boundary"):
-            aq.WalkSpec(5, 4)
+    def test_line_half_width_is_num_steps(self):
+        # The line is -num_steps..num_steps, and both ends are reached.
+        dist = aq.walk_run(aq.WalkSpec(3, gates.I2, np.array([0.0, 1.0], complex)))[3]
+        assert dist == {3: pytest.approx(1.0, abs=1e-12)}
+        assert min(aq.walk_run(aq.WalkSpec(3, gates.I2))[3]) == -3
+
+    def test_former_width_argument_rejected(self):
+        # The second positional argument is the coin now; a width there fails loudly.
+        with pytest.raises(ValueError, match="coin_unitary"):
+            aq.WalkSpec(5, 5)
 
     def test_degenerate_fit_rejected(self):
         with pytest.raises(ValueError, match="degenerate|t_min"):
-            aq.walk_variance_exponent(aq.WalkSpec(10, 10), 5, 6)
+            aq.walk_variance_exponent(aq.WalkSpec(10), 5, 6)
 
-    def test_exponent_window_beyond_line_rejected(self):
-        with pytest.raises(ValueError, match="boundary"):
-            aq.walk_variance_exponent(aq.WalkSpec(10, 10), 5, 20)
+    def test_exponent_window_sets_the_walk_length(self):
+        # The fit runs t_max steps whatever num_steps the spec carries.
+        assert aq.walk_variance_exponent(aq.WalkSpec(10), 5, 20) == \
+            aq.walk_variance_exponent(aq.WalkSpec(20), 5, 20)
 
 
 class TestClusterState:

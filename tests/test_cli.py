@@ -435,7 +435,7 @@ class TestOtherCommands:
     def test_walk_json_is_last_walk_run_distribution(self, steps):
         code, out, _ = run_cli("walk", "--steps", str(steps), "--json")
         assert code == 0
-        spec = WalkSpec(steps, max(steps, 1))
+        spec = WalkSpec(steps)
         expected = {str(x): p for x, p in sorted(walk_run(spec)[-1].items())}
         assert out == json.dumps({"steps": steps, "distribution": expected}) + "\n"
 
@@ -639,6 +639,19 @@ class TestOtherCommands:
                                      "--t-final", "1.7e308", "--steps", "1")
         assert_one_error_line(code, out, err)
         assert "t_final" in err and "1 steps" in err and caught == []
+
+    @pytest.mark.parametrize("t_final", ["50", "0"])
+    def test_anneal_overflowing_cost_is_a_load_error(self, tmp_path, t_final):
+        # Each coefficient is finite, their sum is not: the problem is refused
+        # when loaded, whatever t_final is, and no numpy warning comes first.
+        path = tmp_path / "p.json"
+        path.write_text('{"n": 2, "h": [1e308, 1e308], "J": [[0, 1, 1e308]]}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli("anneal", "--problem", str(path), "--t-final", t_final)
+        assert_one_error_line(code, out, err)
+        assert err == "error: cannot load problem: the sum of |h| and |J| must be finite\n"
+        assert caught == []
 
     @pytest.mark.parametrize("steps", [MAX_ANNEAL_STEPS + 1, 10 ** 11])
     def test_anneal_steps_cap_rejects_before_annealing(self, problem_path, monkeypatch, steps):

@@ -1,10 +1,16 @@
 """State construction, gate embedding, and circuit execution semantics."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aqmkit as aq
 from aqmkit import gates, simulate
+from aqmkit.annealing import IsingProblem, build_annealing_hamiltonian
+from aqmkit.linalg import is_unitary
 from aqmkit.simulate import apply_gate
 from oracles import haar_unitary, kron_embed, oracle_circuit_unitary, random_circuit, \
     random_state
@@ -44,7 +50,7 @@ class TestStates:
             lambda: aq.MeasurementOperatorSet(1, projectors),
             lambda: aq.synthesize_measurement(aq.MeasurementOperatorSet(1, projectors)),
             lambda: aq.ApproximationRequest(gates.H, ("H", "T"), 0.1, 2),
-            lambda: aq.WalkSpec(2, 2),
+            lambda: aq.WalkSpec(2),
             lambda: aq.anneal(aq.IsingProblem(1, (-1.0,)), aq.AnnealSchedule(0.0, 1)),
         ]
         for make in makers:
@@ -103,6 +109,101 @@ class TestEmbedGate:
     def test_duplicate_targets(self):
         with pytest.raises(ValueError, match="duplicate"):
             aq.embed_gate(gates.CNOT, [1, 1], 2)
+
+    # Each case also breaks every later check, so the message shows which
+    # check runs first: shape, duplicate targets, range, then unitarity.
+    @pytest.mark.parametrize("gate, targets, message", [
+        (np.ones((2, 2)), [5, 5, -1], "gate shape (2, 2) does not match 3 target(s)"),
+        (np.ones((4, 4)), [5, 5], "duplicate targets: [5, 5]"),
+        (np.ones((2, 2)), [2], "target 2 out of range for 2 qubit(s)"),
+        (np.ones((4, 4)), [0, -1], "target -1 out of range for 2 qubit(s)"),
+        (np.ones((2, 2)), [1], "gate matrix is not unitary"),
+    ])
+    def test_error_messages_in_order(self, gate, targets, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            aq.embed_gate(gate, targets, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_scatter_and_kron_oracle(self, data):
+        n = data.draw(st.integers(1, 7), label="n")
+        k = data.draw(st.integers(1, min(n, 3)), label="k")
+        targets = data.draw(st.permutations(range(n)), label="order")[:k]
+        table = [g for g in gates.FIXED_GATES.values() if g.shape == (2 ** k, 2 ** k)]
+        if data.draw(st.booleans(), label="table gate"):
+            gate = data.draw(st.sampled_from(table), label="gate")
+        else:
+            seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+            gate = haar_unitary(np.random.default_rng(seed), 2 ** k)
+        mine = aq.embed_gate(gate, targets, n)
+        # Byte for byte once every zero is +0.0: the scatter copies a gate's
+        # -0.0 entries (Y, SDG, TDG) where the product sums to +0.0, and at
+        # n = 1 the product gives Z a -0.0 where the scatter has +0.0.
+        assert (mine + 0.0).tobytes() == (_scatter_embed_gate(gate, targets, n) + 0.0).tobytes()
+        assert np.max(np.abs(mine - kron_embed(gate, targets, n))) < 1e-12
+
+
+def _spread(value: int, positions) -> int:
+    """Scatter bit j of value to bit positions[j]."""
+    out = 0
+    for j, p in enumerate(positions):
+        out |= ((value >> j) & 1) << p
+    return out
+
+
+def _scatter_embed_gate(gate: np.ndarray, targets, num_qubits: int) -> np.ndarray:
+    """The scatter embed_gate replaced, kept verbatim.
+
+    It is the bit-identity reference: embed_gate, now apply_gate on the
+    identity, must return the same bytes up to the sign of zero entries. It
+    is not an independent oracle; kron_embed is.
+    """
+    gate = np.asarray(gate, dtype=complex)
+    targets = list(targets)
+    k = len(targets)
+    if gate.shape != (2 ** k, 2 ** k):
+        raise ValueError(f"gate shape {gate.shape} does not match {k} target(s)")
+    if len(set(targets)) != k:
+        raise ValueError(f"duplicate targets: {targets}")
+    for t in targets:
+        if not 0 <= t < num_qubits:
+            raise ValueError(f"target {t} out of range for {num_qubits} qubit(s)")
+    if not is_unitary(gate):
+        raise ValueError("gate matrix is not unitary")
+
+    rest = [q for q in range(num_qubits) if q not in set(targets)]
+    full = np.zeros((2 ** num_qubits, 2 ** num_qubits), dtype=complex)
+    local = np.array([_spread(g, targets) for g in range(2 ** k)])
+    for r in range(2 ** len(rest)):
+        idx = _spread(r, rest) + local
+        full[np.ix_(idx, idx)] = gate
+    return full
+
+
+class TestAnnealingHamiltonian:
+    @staticmethod
+    def _embed_sum_form(problem, lam0, lam1):
+        """The dense Hamiltonian as built before, its mixer a sum of embedded X gates."""
+        n = problem.num_spins
+        dim = 2 ** n
+        h = np.diag(lam1 * problem.cost_diagonal()).astype(complex)
+        if lam0 != 0.0:
+            mixer = np.zeros((dim, dim), dtype=complex)
+            for i in range(n):
+                mixer -= _scatter_embed_gate(gates.X, [i], n)
+            h = h + lam0 * mixer
+        return h
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_embed_sum_form(self, n):
+        rng = np.random.default_rng(n)
+        couplings = [(i, j, float(rng.normal())) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.5]
+        problem = IsingProblem(n, tuple(rng.normal(size=n).tolist()), tuple(couplings))
+        for lam0, lam1 in [(1.0, 0.0), (0.6, 0.4), (0.3, 0.7), (0.0, 1.0)]:
+            mine = build_annealing_hamiltonian(problem, lam0, lam1)
+            assert mine.tobytes() == self._embed_sum_form(problem, lam0, lam1).tobytes(), \
+                (lam0, lam1)
 
 
 def _tensordot_apply_gate(amps, gate, targets, num_qubits):
