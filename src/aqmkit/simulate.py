@@ -65,19 +65,34 @@ def generator(seed: int, rng: np.random.Generator | None) -> np.random.Generator
 def pick(probs, rng: np.random.Generator) -> int:
     """Draw an outcome index with probability `probs[k]` from one ``rng.random()``.
 
-    Outcomes below ZERO_PROB are never drawn. The draw is scaled to the live
+    Outcomes below ZERO_PROB (and NaN ones) are never drawn; when no outcome
+    is live, a ValueError says so. The draw is scaled to the live
     probability mass and walked along its cumulative sum, so on two live
     outcomes (p, 1 - p) it picks outcome 1 exactly when the draw is >= p.
+    The work is on Python floats. The live mass is the float ``np.sum``
+    gives: one or two terms add left to right, as Python's ``+`` does, but
+    from three terms on numpy's pairwise reduction does not, so it is kept
+    (called as ``np.add.reduce``, the reduction ``np.sum`` runs, without
+    ``np.sum``'s Python wrapper).
     """
-    probs = np.asarray(probs, dtype=float)
-    live = np.flatnonzero(probs >= ZERO_PROB)
-    r = rng.random() * float(np.sum(probs[live]))
+    probs = [float(p) for p in probs]
+    live = [k for k, p in enumerate(probs) if p >= ZERO_PROB]
+    if not live:
+        raise ValueError(f"no outcome has probability >= {ZERO_PROB:g}: "
+                         f"the probabilities are zero, negligible or NaN")
+    if len(live) == 1:
+        total = probs[live[0]]
+    elif len(live) == 2:
+        total = probs[live[0]] + probs[live[1]]
+    else:
+        total = float(np.add.reduce([probs[k] for k in live]))
+    r = rng.random() * total
     cumulative = 0.0
     for k in live:
         cumulative += probs[k]
         if r < cumulative:
-            return int(k)
-    return int(live[-1])
+            return k
+    return live[-1]
 
 
 def embed_gate(gate: np.ndarray, targets, num_qubits: int) -> np.ndarray:
@@ -185,20 +200,22 @@ def apply_circuit(circuit: Circuit, initial: StateVector | None = None, seed: in
         if step.gate == "MEASURE":
             records.append(MeasurementRecord(outcome, probs[outcome], branch,
                                              qubit=step.qubits[0]))
-    return StateVector(amps), records
+    # `amps` is a fresh kernel result or an array a StateVector already holds read-only.
+    return StateVector._owned(amps), records
 
 
 def _branch(amps: np.ndarray, outcome: int, prob: float, inst: Instruction,
             num_qubits: int) -> StateVector:
     """The branch of MEASURE or RESET `inst` that read `outcome` (probability `prob`).
 
-    RESET flips an outcome-1 branch to |0>. The branch is returned as a
-    ``StateVector``, so a non-finite or unnormalized one raises.
+    RESET flips an outcome-1 branch to |0>. The fresh branch is wrapped by
+    ``StateVector._owned`` without a copy, so a non-finite or unnormalized
+    one still raises.
     """
     amps = _collapse(amps, inst.qubits[0], outcome, prob)
     if inst.gate == "RESET" and outcome == 1:
         amps = apply_gate(amps, gates.X, inst.qubits, num_qubits)
-    return StateVector(amps)
+    return StateVector._owned(amps)
 
 
 def _draw_suffix(state: StateVector, suffix: list[Instruction], shots: int,

@@ -4,6 +4,10 @@ A state is a unit-norm complex vector of length 2**n. Basis index i encodes
 qubit q in bit 2**q (little-endian). Global phase is never canonicalized;
 equivalence checks should go through ``fidelity`` or the phase-invariant
 distance on operators.
+
+``StateVector(amplitudes)`` copies and checks what a caller passes in. The
+package's own kernels wrap a register they have just computed with
+``StateVector._owned``, which checks it without the copy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,11 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized amplitude vector; length must be a power of two."""
+    """Normalized amplitude vector; length must be a power of two.
+
+    The constructor copies `amplitudes` into a read-only complex array, so
+    later writes to the caller's array cannot reach the state.
+    """
 
     amplitudes: np.ndarray
     num_qubits: int = field(init=False)
@@ -37,6 +45,27 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
+
+    @classmethod
+    def _owned(cls, amps: np.ndarray) -> StateVector:
+        """Wrap `amps`, a fresh 1-D complex array the package just computed, without a copy.
+
+        For registers no caller can still write: `amps` is made read-only in
+        place. Its shape is checked, and its norm with one ``vdot``; a
+        non-finite entry makes the norm non-finite, so it is refused too.
+        """
+        n = amps.size.bit_length() - 1
+        if amps.ndim != 1 or amps.dtype != complex or amps.size < 2 or amps.size != 2 ** n:
+            raise ValueError(f"expected a complex register of 2^n >= 2 amplitudes, got "
+                             f"shape {amps.shape} and dtype {amps.dtype}")
+        norm = float(np.vdot(amps, amps).real) ** 0.5
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amps)
+        object.__setattr__(state, "num_qubits", n)
+        return state
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

@@ -1,5 +1,6 @@
 """State construction, gate embedding, and circuit execution semantics."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -566,6 +567,18 @@ class TestApplyCircuit:
                     for _ in range(8)] == shots
             assert [(r.qubit, r.outcome_index, r.probability)
                     for r in aq.apply_circuit(circuit, seed=11)[1]] == records
+
+    def test_seeded_final_state_bits_pinned(self):
+        # The digest was taken when every branch and the final state were
+        # still copied by the public StateVector constructor; wrapping them
+        # without a copy must leave every bit as it was.
+        c = aq.parse_circuit("qubits 3\nH 0\nRY 1 0.7\nCNOT 0 2\nMEASURE 0\nRX 2 1.3\n"
+                             "CZ 1 2\nRESET 1\nH 1\nMEASURE 2\nT 0\nCNOT 2 1\n")
+        state, records = aq.apply_circuit(c, seed=5)
+        assert [(r.qubit, r.outcome_index) for r in records] == [(0, 1), (2, 1)]
+        assert hashlib.sha256(state.amplitudes.tobytes()).hexdigest() == (
+            "a2485911994880cd9ff85d32b6def16deabaf6812d139f52e2e3d166261f56a9")
+        assert not state.amplitudes.flags.writeable
 
     def test_mid_circuit_measurement_feeds_later_gates(self):
         # Measure one half of a Bell pair, then rotate the other: the final

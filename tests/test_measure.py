@@ -1,10 +1,11 @@
 """General measurement sets, sampling, and initialization-by-measurement."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aqmkit as aq
@@ -167,30 +168,64 @@ class TestApplication:
         assert dilated == [[0, 1, 1, 0, 0, 0], [2, 4, 0, 0, 2, 0], [0, 0, 0, 0, 1, 0],
                            [3, 5, 5, 5, 0, 3]]
 
+    def test_seeded_record_bits_pinned(self):
+        # The digests were taken when every drawn branch went through the
+        # public StateVector copy and each probability through its own vdot;
+        # the batched product and the wrapper without a copy keep every bit.
+        source = np.random.Generator(np.random.PCG64(31))
+        draws = np.random.Generator(np.random.PCG64(7))
+        direct, dilated = hashlib.sha256(), hashlib.sha256()
+        for n, k in ((1, 2), (1, 5), (2, 3), (2, 7)):
+            mset = aq.MeasurementOperatorSet(n, tuple(random_measurement_set(source, n, k)))
+            psi = aq.StateVector(random_state(source, n))
+            dilation = aq.synthesize_measurement(mset)
+            for digest, draw in ((direct, lambda: aq.apply_measurement(mset, psi, rng=draws)),
+                                 (dilated, lambda: dilation.run(psi, rng=draws))):
+                for _ in range(6):
+                    record = draw()
+                    digest.update(f"{record.outcome_index} {record.probability!r}\n".encode())
+                    digest.update(record.post_state.amplitudes.tobytes())
+        assert direct.hexdigest() == (
+            "eef2487041c33ae7046ece93c77eb9366a7a051fbb5b778c60e93e69ee48cc1e")
+        assert dilated.hexdigest() == (
+            "d533f1b7150172e6585194b27c5619127de85ffc6c6ec8edf4d7844af147696f")
+
     def test_one_post_state_built_per_draw(self, monkeypatch):
-        # Only the drawn branch is normalized; it equals that branch of the
+        # Only the drawn branch is normalized, and it is wrapped without the
+        # public constructor's copy; it equals that branch of the
         # deterministic variants bit for bit.
         rng = np.random.default_rng(8)
         mset = aq.MeasurementOperatorSet(2, tuple(random_measurement_set(rng, 2, 8)))
         psi = aq.StateVector(random_state(rng, 2))
         dilation = aq.synthesize_measurement(mset)
-        built = []
+        owned, constructed = [], []
+        wrap, check = aq.StateVector._owned, aq.StateVector.__post_init__
 
-        class CountingStateVector(aq.StateVector):
-            def __post_init__(self):
-                built.append(1)
-                super().__post_init__()
+        def counting_owned(amps):
+            owned.append(1)
+            return wrap(amps)
 
-        monkeypatch.setattr(measure, "StateVector", CountingStateVector)
+        def counting_check(self):
+            constructed.append(1)
+            check(self)
+
+        monkeypatch.setattr(aq.StateVector, "_owned", staticmethod(counting_owned))
+        monkeypatch.setattr(aq.StateVector, "__post_init__", counting_check)
         for draw, branches in ((lambda: aq.apply_measurement(mset, psi, seed=3),
                                 aq.measurement_branches(mset, psi)),
                                (lambda: dilation.run(psi, seed=3), dilation.branches(psi))):
-            built.clear()
+            owned.clear()
             record = draw()
-            assert len(built) == 1
+            assert len(owned) == 1 and constructed == []
             prob, post = branches[record.outcome_index]
             assert record.probability == prob
             assert np.array_equal(record.post_state.amplitudes, post.amplitudes)
+
+    @pytest.mark.parametrize("rows", [np.zeros((2, 2), complex),
+                                      np.full((3, 4), np.nan, complex)])
+    def test_no_live_branch_is_a_value_error(self, rows):
+        with pytest.raises(ValueError, match="no outcome has probability"):
+            measure.draw_branch(rows)
 
 
 class TestInitializeViaMeasurement:
@@ -215,6 +250,44 @@ class TestInitializeViaMeasurement:
         for seed in range(10):
             out = aq.initialize_via_measurement(target, source, seed=seed)
             assert aq.fidelity(out, target) >= 1 - 1e-12
+
+    def test_target_at_the_width_limit_is_prepared(self):
+        n = measure.MAX_INIT_QUBITS
+        target = aq.StateVector(random_state(np.random.default_rng(5), n))
+        out = aq.initialize_via_measurement(target, aq.basis_state(n, 1), seed=2)
+        assert aq.fidelity(out, target) >= 1 - 1e-12
+
+    def test_target_past_the_width_limit_is_refused_before_allocating(self, monkeypatch):
+        n = measure.MAX_INIT_QUBITS + 1
+        target, source = aq.basis_state(n, 0), aq.basis_state(n, 1)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the operator array was allocated")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match=f"at most {n - 1} qubits; the target has {n}"):
+            aq.initialize_via_measurement(target, source)
+
+
+class TestOwnedState:
+    def test_wraps_without_a_copy(self):
+        amps = np.array([0.6, 0.8j])
+        state = aq.StateVector._owned(amps)
+        assert state.amplitudes is amps and state.num_qubits == 1
+        assert not amps.flags.writeable
+
+    @pytest.mark.parametrize("amps, message", [
+        (np.array([np.nan, 1.0], dtype=complex), "not normalized"),
+        (np.array([np.inf, 0.0], dtype=complex), "not normalized"),
+        (np.array([1.0, 1.0], dtype=complex), "not normalized"),
+        (np.array([1.0, 0.0, 0.0], dtype=complex), "2\\^n >= 2"),
+        (np.array([[1.0, 0.0]], dtype=complex), "2\\^n >= 2"),
+        (np.array([1.0, 0.0]), "2\\^n >= 2"),
+    ])
+    def test_refuses_a_bad_register(self, amps, message):
+        with pytest.raises(ValueError, match=message):
+            aq.StateVector._owned(amps)
+        assert amps.flags.writeable
 
 
 class FixedDraw:
@@ -244,6 +317,49 @@ PROBABILITIES = st.floats(0.0, 1.0) | st.builds(
 DRAWS = st.floats(0.0, 1.0, exclude_max=True)
 
 
+def _reference_pick(probs, rng: np.random.Generator) -> int:
+    """``simulate.pick`` as it was on numpy arrays, kept verbatim as the bit-identity reference."""
+    probs = np.asarray(probs, dtype=float)
+    live = np.flatnonzero(probs >= ZERO_PROB)
+    r = rng.random() * float(np.sum(probs[live]))
+    cumulative = 0.0
+    for k in live:
+        cumulative += probs[k]
+        if r < cumulative:
+            return int(k)
+    return int(live[-1])
+
+
+class ScaleProbe:
+    """A generator stand-in whose draw records the live mass it is scaled by."""
+
+    def __init__(self):
+        self.totals = []
+
+    def random(self):
+        return self
+
+    def __mul__(self, total):
+        self.totals.append(total)
+        return 0.0
+
+
+# Up to 12 outcomes, NaN among them (never live), at least one live.
+OUTCOMES = st.lists(PROBABILITIES | st.just(math.nan), min_size=1, max_size=12).filter(
+    lambda probs: any(p >= ZERO_PROB for p in probs))
+
+
+@st.composite
+def draws_for(draw, probs):
+    """A uniform draw, or one a few ulps from where the walk crosses a live outcome."""
+    if draw(st.booleans()):
+        return draw(DRAWS)
+    live = [p for p in probs if p >= ZERO_PROB]
+    total = float(np.sum(live))
+    edge = sum(live[:draw(st.integers(1, len(live)))]) / total
+    return min(max(_step(edge, draw(st.integers(-2, 2))), 0.0), math.nextafter(1.0, 0.0))
+
+
 class TestOneSampler:
     @given(PROBABILITIES, DRAWS)
     def test_two_outcomes_decide_as_the_bit_rules_did(self, p, u):
@@ -260,3 +376,37 @@ class TestOneSampler:
         mbqc_rule = int(u >= p)
         if (p, 1.0 - p)[mbqc_rule] >= 1e-12:
             assert pick((p, 1.0 - p), FixedDraw(u)) == mbqc_rule
+
+    @given(st.data())
+    def test_same_index_as_the_array_rule(self, data):
+        # One or two live outcomes take Python's + for the live mass, more
+        # take np.sum; every index must be the one the array rule drew.
+        probs = data.draw(OUTCOMES, label="probs")
+        u = data.draw(draws_for(probs), label="u")
+        draw = FixedDraw(u)
+        assert pick(probs, draw) == _reference_pick(probs, FixedDraw(u))
+        assert draw.calls == 1
+
+    @given(OUTCOMES)
+    def test_live_mass_is_the_numpy_sum(self, probs):
+        probe = ScaleProbe()
+        pick(probs, probe)
+        array = np.asarray(probs, dtype=float)
+        expected = float(np.sum(array[array >= ZERO_PROB]))
+        assert len(probe.totals) == 1 and type(probe.totals[0]) is float
+        assert probe.totals[0].hex() == expected.hex()
+
+    @given(st.lists(st.just(0.0) | st.just(math.nan) | st.floats(0.0, ZERO_PROB, exclude_max=True),
+                    min_size=1, max_size=12))
+    def test_no_live_outcome_is_a_value_error(self, probs):
+        with pytest.raises(ValueError, match="no outcome has probability"):
+            pick(probs, FixedDraw(0.5))
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 16), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1.0, 1e-3, 1e-8]))
+    def test_batched_probabilities_equal_per_row_vdot(self, log_m, k, seed, scale):
+        rng = np.random.default_rng(seed)
+        rows = scale * (rng.normal(size=(k, 2 ** log_m)) + 1j * rng.normal(size=(k, 2 ** log_m)))
+        per_row = [float(np.real(np.vdot(row, row))) for row in rows]
+        assert np.array(measure._probabilities(rows)).tobytes() == np.array(per_row).tobytes()
